@@ -7,7 +7,6 @@ randomized verification sweeps for the whole family of sharp inequalities.
 """
 
 from .bellman import (
-    BellmanCurve,
     BellmanPoint,
     bellman_value,
     envelope_bound,
@@ -66,10 +65,8 @@ from .sweeps import (
     run_battery,
 )
 from .tree import (
-    Node,
     StepFunction,
     Tree,
-    build_uniform_tree,
     constant_function,
     load_step_function,
     moment,

@@ -8,6 +8,7 @@ minimum over the parameter reproduces the same value.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,23 +69,6 @@ def omega_p(x: float, p: float, tolerance: float = 0.0) -> float:
 
 
 @dataclass(frozen=True)
-class BellmanCurve:
-    """Bundled evaluator for a fixed exponent p."""
-
-    p: float
-    tolerance: float = 1e-13
-
-    def h(self, z: float) -> float:
-        return h_p(z, self.p)
-
-    def omega(self, x: float) -> float:
-        return omega_p(x, self.p, self.tolerance)
-
-    def value(self, f: float, big_f: float) -> "BellmanPoint":
-        return bellman_value(self.p, f, big_f)
-
-
-@dataclass(frozen=True)
 class BellmanPoint:
     """Sharp bound at one moment pair, with its extremal parameters.
 
@@ -118,6 +102,11 @@ def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:
     )
 
 
+def _envelope(p: float, f: float, big_f: float, beta: float) -> float:
+    """The envelope member at ``beta``, for arguments already checked."""
+    return (beta + 1.0) / beta * ((beta + 1.0) ** (p - 1.0) * big_f - f**p) / (p - 1.0)
+
+
 def envelope_bound(p: float, f: float, big_f: float, beta: float) -> float:
     """One member of the parametric upper envelope at the pair (f, F)."""
     p = _check_p(p)
@@ -125,7 +114,7 @@ def envelope_bound(p: float, f: float, big_f: float, beta: float) -> float:
         raise DomainError(f"beta must be positive, got {beta}")
     if f <= 0 or big_f <= 0 or f**p > big_f * (1.0 + 1e-12):
         raise InfeasibleMomentsError(f"invalid moments f={f}, F={big_f}")
-    return (beta + 1.0) / beta * ((beta + 1.0) ** (p - 1.0) * big_f - f**p) / (p - 1.0)
+    return _envelope(p, f, big_f, beta)
 
 
 def minimize_envelope(
@@ -143,9 +132,7 @@ def minimize_envelope(
     if big_f <= f**p:
         return 0.0, f**p
 
-    def envelope(beta: float) -> float:
-        return (beta + 1.0) / beta * ((beta + 1.0) ** (p - 1.0) * big_f - f**p) / (p - 1.0)
-
+    envelope = functools.partial(_envelope, p, f, big_f)
     lo, hi = 1e-12, 1.0 / (p - 1.0)
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)

@@ -157,6 +157,21 @@ Profile = Union[LineStepFunction, PowerLawFunction]
 _TREE_INEQUALITIES = ("1.7", "1.8", "1.9")
 
 
+def right_hand_side(inequality: str, p: float, q: float, beta: float, fp, j1, jq):
+    """Right-hand side of (1.7), (1.8) or (1.9) from ``f**p`` and the mixed
+    moments ``J1`` and ``Jq``; scalars or arrays alike.
+
+    (1.7) is the two-term bound with q = 1, (1.8) its q-parameterized
+    sharpening, (1.9) the (q, beta) family containing both. The line
+    inequality (1.10) shares the (1.9) right-hand side.
+    """
+    if inequality == "1.7":
+        return p / (p - 1.0) * j1 - fp / (p - 1.0)
+    if inequality == "1.8":
+        return (p / (p - 1.0)) ** q * jq - q / (p - 1.0) * fp
+    return second_constant(p, q, beta) * jq - first_constant(p, q, beta) * fp
+
+
 @dataclass(frozen=True)
 class DeficitReport:
     """One inequality instance: both sides, the slack, and the moment data."""
@@ -194,9 +209,8 @@ def _resolve_f(params: IneqParams, actual: float) -> IneqParams:
 def deficit(inequality: str, phi: StepFunction, params: IneqParams) -> DeficitReport:
     """Deficit of one tree inequality on a step function.
 
-    ``inequality`` selects the right-hand side: "1.7" is the two-term bound
-    with q = 1, "1.8" its q-parameterized sharpening, "1.9" the (q, beta)
-    family containing both. All moments are exact leaf sums. If the measured
+    ``inequality`` selects the right-hand side ("1.7", "1.8" or "1.9", see
+    :func:`right_hand_side`). All moments are exact leaf sums. If the measured
     mean of ``phi`` differs from ``params.f``, the measured value is used and
     recorded in the returned report.
     """
@@ -217,15 +231,7 @@ def deficit(inequality: str, phi: StepFunction, params: IneqParams) -> DeficitRe
     j1 = float((v * m ** (p - 1.0)).sum()) * leaf_measure
     jq = float((v**q * m ** (p - q)).sum()) * leaf_measure
 
-    if inequality == "1.7":
-        rhs = -(f**p) / (p - 1.0) + p / (p - 1.0) * j1
-    elif inequality == "1.8":
-        rhs = -q / (p - 1.0) * f**p + (p / (p - 1.0)) ** q * jq
-    else:
-        rhs = (
-            -first_constant(p, q, params.beta) * f**p
-            + second_constant(p, q, params.beta) * jq
-        )
+    rhs = right_hand_side(inequality, p, q, params.beta, f**p, j1, jq)
     report = DeficitReport(
         inequality=inequality,
         lhs=j0,
@@ -253,10 +259,7 @@ def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
     j0 = hardy_power(g, p)
     j1 = hardy_moment(g, p, 1.0)
     jq = hardy_moment(g, p, q)
-    rhs = (
-        -first_constant(p, q, params.beta) * f**p
-        + second_constant(p, q, params.beta) * jq
-    )
+    rhs = right_hand_side("1.9", p, q, params.beta, f**p, j1, jq)
     report = DeficitReport(
         inequality="1.10",
         lhs=j0,

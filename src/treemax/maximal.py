@@ -3,7 +3,8 @@
 Everything here is exact finite arithmetic on step functions: node averages
 are built bottom-up level by level, the maximal function is one root-to-leaf
 prefix-max sweep, and the linearization recovers the partition of X by the
-largest average-attaining ancestor of each leaf.
+largest average-attaining ancestor of each leaf. The sweep is batched, one
+row per trial, and a single step function is the one-row case.
 """
 from __future__ import annotations
 
@@ -12,26 +13,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tree import StepFunction, Tree, moment
+from .tree import StepFunction, moment
 
 
-def _level_averages(tree: Tree, leaf_values: np.ndarray) -> list[np.ndarray]:
-    """Per-level node averages, ``levels[m]`` indexed like level m.
+def _level_averages(values: np.ndarray, arity: int, depth: int) -> list[np.ndarray]:
+    """Node averages of every level, root level first, one row per trial.
 
-    Parent average is the plain mean of its children (children have equal
-    measure on a uniform tree), so the root entry is the global mean.
+    ``levels[m][r]`` holds the level-m averages of row r in node order. A
+    parent's average is the plain mean of its children (children have equal
+    measure on a uniform tree), so the root column is the global mean.
     """
-    levels = [np.asarray(leaf_values, dtype=np.float64)]
-    for _ in range(tree.depth):
-        levels.append(levels[-1].reshape(-1, tree.arity).mean(axis=1))
+    rows = values.shape[0]
+    levels = [values]
+    for _ in range(depth):
+        levels.append(levels[-1].reshape(rows, -1, arity).mean(axis=2))
     levels.reverse()
     return levels
 
 
+def _prefix_max(levels: list[np.ndarray], arity: int) -> np.ndarray:
+    """Root-to-leaf running maximum of the level averages: the leaf values of
+    the maximal function, one row per trial."""
+    best = levels[0]
+    for level in levels[1:]:
+        best = np.maximum(level, np.repeat(best, arity, axis=1))
+    return best
+
+
+def batch_maximal_leaves(values: np.ndarray, arity: int, depth: int) -> np.ndarray:
+    """Leaf values of the maximal function, one row per trial."""
+    return _prefix_max(_level_averages(values, arity, depth), arity)
+
+
+def _levels_of(phi: StepFunction) -> list[np.ndarray]:
+    tree = phi.tree
+    return _level_averages(phi.leaf_values[None, :], tree.arity, tree.depth)
+
+
 def averages(phi: StepFunction) -> np.ndarray:
     """Average of ``phi`` over every node, as a flat array indexed by node id."""
-    levels = _level_averages(phi.tree, phi.leaf_values)
-    return np.concatenate(levels)
+    return np.concatenate(_levels_of(phi), axis=1)[0]
 
 
 @dataclass(frozen=True)
@@ -48,21 +69,28 @@ class MaximalResult:
     attaining_node: np.ndarray
 
 
+def _maximal(phi: StepFunction) -> tuple[list[np.ndarray], MaximalResult]:
+    """The one-row sweep, returning the level averages alongside the result.
+
+    The attaining node of a leaf is its shallowest ancestor whose average
+    equals the maximal value there. Comparing with ``==`` is exact because
+    ``np.maximum`` returns one of its inputs bit for bit.
+    """
+    tree = phi.tree
+    levels = _levels_of(phi)
+    best = _prefix_max(levels, tree.arity)[0]
+    attain = tree.offsets[tree.depth] + np.arange(tree.leaf_count, dtype=np.int64)
+    for m in range(tree.depth - 1, -1, -1):  # shallower hits overwrite deeper
+        nodes = levels[m].shape[1]
+        hit = best.reshape(nodes, -1) == levels[m][0][:, None]
+        ids = tree.offsets[m] + np.arange(nodes, dtype=np.int64)
+        np.copyto(attain.reshape(nodes, -1), ids[:, None], where=hit)
+    return levels, MaximalResult(phi, StepFunction(tree, best), attain)
+
+
 def maximal_function(phi: StepFunction) -> MaximalResult:
     """Evaluate the tree maximal operator by a single prefix-max sweep."""
-    tree = phi.tree
-    levels = _level_averages(tree, phi.leaf_values)
-    best = levels[0].copy()
-    attain = np.zeros(1, dtype=np.int64)
-    for m in range(1, tree.depth + 1):
-        current = levels[m]
-        best = np.repeat(best, tree.arity)
-        attain = np.repeat(attain, tree.arity)
-        ids = int(tree.offsets[m]) + np.arange(current.size, dtype=np.int64)
-        deeper_wins = current > best
-        best = np.where(deeper_wins, current, best)
-        attain = np.where(deeper_wins, ids, attain)
-    return MaximalResult(phi, StepFunction(tree, best), attain)
+    return _maximal(phi)[1]
 
 
 @dataclass(frozen=True)
@@ -97,8 +125,8 @@ def linearize(phi: StepFunction) -> Linearization:
     supremum defining the maximal function is attained at every leaf.
     """
     tree = phi.tree
-    result = maximal_function(phi)
-    node_avg = averages(phi)
+    levels, result = _maximal(phi)
+    node_avg = np.concatenate(levels, axis=1)[0]
 
     members, counts = np.unique(result.attaining_node, return_counts=True)
     mass = dict(zip(members.tolist(), (counts * tree.leaf_measure).tolist()))
@@ -153,7 +181,7 @@ def level_approximation(phi: StepFunction, level: int) -> StepFunction:
     tree = phi.tree
     if not 0 <= level <= tree.depth:
         raise DomainError(f"level must be in [0, {tree.depth}], got {level}")
-    avg = _level_averages(tree, phi.leaf_values)[level]
+    avg = _levels_of(phi)[level][0]
     block = tree.arity ** (tree.depth - level)
     return StepFunction(tree, np.repeat(avg, block))
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .bellman import bellman_value
 from .errors import DomainError
-from .inequalities import first_constant, second_constant
+from .inequalities import DEFICIT_SLACK, IneqParams, right_hand_side
+from .maximal import batch_maximal_leaves
 from .rearrange import LineStepFunction, PowerLawFunction, discretize
 from .tree import Tree
 
@@ -82,20 +83,6 @@ def mixture_values(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return values
 
 
-def batch_maximal_leaves(values: np.ndarray, arity: int, depth: int) -> np.ndarray:
-    """Leaf values of the maximal function, one row per trial."""
-    rows = values.shape[0]
-    levels = [values]
-    level = values
-    for _ in range(depth):
-        level = level.reshape(rows, -1, arity).mean(axis=2)
-        levels.append(level)
-    best = levels[-1]
-    for level in levels[-2::-1]:
-        best = np.maximum(level, np.repeat(best, arity, axis=1))
-    return best
-
-
 @dataclass
 class CellOutcome:
     """Trial-ordered raw numbers of one parameter cell."""
@@ -125,10 +112,15 @@ def evaluate_cell(
     Each trial draws a tree shape, i.i.d. mixture leaf values, and a
     weak-type level; every deficit is an exact finite sum per trial. The
     generator is owned by the cell, so a (seed, cell) pair fully determines
-    every number here.
+    every number here. Out-of-domain parameters, tree shapes or trial
+    counts raise before anything is drawn.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    IneqParams(p, q, beta)  # validates the parameter triple
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     shapes = list(shapes)
+    trees = [Tree(arity, depth) for arity, depth in shapes]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     shape_idx = (
         rng.choice(len(shapes), size=trials, p=_shape_probabilities(shapes))
         if len(shapes) > 1
@@ -147,20 +139,16 @@ def evaluate_cell(
         rhs={k: np.empty(trials) for k in inequalities},
         deficit={k: np.empty(trials) for k in inequalities},
     )
-    c1 = first_constant(p, q, beta)
-    c2 = second_constant(p, q, beta)
-    ratio = p / (p - 1.0)
-
-    for s, (arity, depth) in enumerate(shapes):
+    for s, tree in enumerate(trees):
         rows = np.nonzero(shape_idx == s)[0]
         if rows.size == 0:
             continue
-        leaves = arity**depth
+        leaves = tree.leaf_count
         step = max(1, MAX_BATCH_ELEMENTS // leaves)
         for start in range(0, rows.size, step):
             idx = rows[start : start + step]
             v = mixture_values(rng, idx.size, leaves)
-            m = batch_maximal_leaves(v, arity, depth)
+            m = batch_maximal_leaves(v, tree.arity, tree.depth)
 
             f = v.mean(axis=1)
             fp = f**p
@@ -183,15 +171,10 @@ def evaluate_cell(
                 mask = m > lam[:, None]
                 out.lhs["1.2"][idx] = mask.mean(axis=1)
                 out.rhs["1.2"][idx] = (v * mask).sum(axis=1) / (leaves * lam)
-            if "1.7" in out.lhs:
-                out.lhs["1.7"][idx] = j0
-                out.rhs["1.7"][idx] = ratio * j1 - fp / (p - 1.0)
-            if "1.8" in out.lhs:
-                out.lhs["1.8"][idx] = j0
-                out.rhs["1.8"][idx] = ratio**q * jq - q / (p - 1.0) * fp
-            if "1.9" in out.lhs:
-                out.lhs["1.9"][idx] = j0
-                out.rhs["1.9"][idx] = c2 * jq - c1 * fp
+            for key in ("1.7", "1.8", "1.9"):
+                if key in out.lhs:
+                    out.lhs[key][idx] = j0
+                    out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
 
     for key in inequalities:
         out.deficit[key] = out.rhs[key] - out.lhs[key]
@@ -228,9 +211,18 @@ def _format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
     return rows
 
 
-def summarize_outcomes(outcomes, inequalities, slack: float = 1e-9) -> dict:
+def write_csv(sink, header_lines, outcomes, inequalities) -> None:
+    """Comment lines, the column names, then the rows of every outcome."""
+    for line in header_lines:
+        sink.write(f"# {line}\n")
+    sink.write(CSV_HEADER + "\n")
+    for outcome in outcomes:
+        sink.writelines(_format_cell_rows(outcome, inequalities))
+
+
+def summarize_outcomes(outcomes, inequalities) -> dict:
     """Global minimum deficit, where it happened, and the violation count
-    (deficits below ``-slack * max(1, |rhs|)``)."""
+    (deficits below ``-DEFICIT_SLACK * max(1, |rhs|)``)."""
     min_deficit = np.inf
     argmin = None
     violations = 0
@@ -239,7 +231,7 @@ def summarize_outcomes(outcomes, inequalities, slack: float = 1e-9) -> dict:
         for k in inequalities:
             deficit = outcome.deficit[k]
             scale = np.maximum(1.0, np.abs(outcome.rhs[k]))
-            violations += int((deficit < -slack * scale).sum())
+            violations += int((deficit < -DEFICIT_SLACK * scale).sum())
             i = int(np.argmin(deficit))
             if deficit[i] < per_inequality[k]:
                 per_inequality[k] = float(deficit[i])
@@ -296,11 +288,7 @@ def run_battery(
         outcomes = [work(i) for i in range(len(cells))]
 
     if csv_sink is not None:
-        for line in header_lines:
-            csv_sink.write(f"# {line}\n")
-        csv_sink.write(CSV_HEADER + "\n")
-        for outcome in outcomes:
-            csv_sink.writelines(_format_cell_rows(outcome, inequalities))
+        write_csv(csv_sink, header_lines, outcomes, inequalities)
     return summarize_outcomes(outcomes, inequalities)
 
 

@@ -30,17 +30,6 @@ def _level_offsets(arity: int, depth: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
-@dataclass(frozen=True)
-class Node:
-    """Materialized view of one tree node (storage itself is implicit)."""
-
-    id: int
-    level: int
-    measure: float
-    parent: Optional[int]
-    children: tuple[int, ...]
-
-
 class Tree:
     """Uniform ``arity``-ary tree of the given depth over a probability space.
 
@@ -76,16 +65,8 @@ class Tree:
 
     # -- node addressing -------------------------------------------------
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def level_of(self, node_id: int) -> int:
         return int(np.searchsorted(self.offsets, node_id, side="right")) - 1
-
-    def level_slice(self, level: int) -> slice:
-        """Contiguous id range of all nodes on one level."""
-        return slice(int(self.offsets[level]), int(self.offsets[level + 1]))
 
     def measure_at_level(self, level: int) -> float:
         return float(self.arity) ** (-level)
@@ -97,43 +78,9 @@ class Tree:
         index = node_id - int(self.offsets[level])
         return int(self.offsets[level - 1]) + index // self.arity
 
-    def children_of(self, node_id: int) -> tuple[int, ...]:
-        level = self.level_of(node_id)
-        if level == self.depth:
-            return ()
-        index = node_id - int(self.offsets[level])
-        base = int(self.offsets[level + 1]) + index * self.arity
-        return tuple(range(base, base + self.arity))
-
-    def node(self, node_id: int) -> Node:
-        if not 0 <= node_id < self.node_count:
-            raise DomainError(f"node id {node_id} out of range")
-        level = self.level_of(node_id)
-        return Node(
-            id=node_id,
-            level=level,
-            measure=self.measure_at_level(level),
-            parent=self.parent_of(node_id),
-            children=self.children_of(node_id),
-        )
-
-    def leaf_ids(self) -> np.ndarray:
-        return np.arange(self.offsets[self.depth], self.offsets[self.depth + 1])
-
     @property
     def leaf_measure(self) -> float:
         return self.measure_at_level(self.depth)
-
-    # -- ancestry --------------------------------------------------------
-
-    def ancestors_of_leaf(self, leaf_index: int) -> list[int]:
-        """Node ids from the leaf itself up to the root."""
-        ids = []
-        index = leaf_index
-        for level in range(self.depth, -1, -1):
-            ids.append(int(self.offsets[level]) + index)
-            index //= self.arity
-        return ids
 
     def __eq__(self, other) -> bool:
         return (
@@ -147,11 +94,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(arity={self.arity}, depth={self.depth})"
-
-
-def build_uniform_tree(arity: int, depth: int) -> Tree:
-    """Construct the uniform tree; see :class:`Tree` for the invariants."""
-    return Tree(arity, depth)
 
 
 @dataclass(frozen=True)

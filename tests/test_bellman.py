@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treemax import (
-    BellmanCurve,
     DomainError,
     InfeasibleMomentsError,
     bellman_value,
@@ -140,14 +139,6 @@ class TestBellmanValue:
                 bound = bellman_value(p, f, big_f).value
                 observed = moment(maximal_function(phi).m_phi, p)
                 assert observed <= bound * (1 + 1e-9)
-
-    def test_curve_wrapper(self):
-        curve = BellmanCurve(p=2.0)
-        assert curve.h(1.0) == 1.0
-        assert curve.omega(0.0) == 2.0
-        assert curve.value(1.0, 2.0).value == pytest.approx(
-            3.0 + 2.0 * math.sqrt(2.0), abs=1e-12
-        )
 
 
 class TestEnvelope:

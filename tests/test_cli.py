@@ -219,6 +219,28 @@ class TestErrorPaths:
         )
         assert status == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify --ineq 1.7 --p 1",
+            "verify --ineq 1.9 --beta -1",
+            "verify --ineq 1.9 --p 0.5",
+            "verify --ineq 1.9 --p 2 --q 7",
+            "verify --ineq 1.7 --arity 1",
+            "verify --ineq 1.7 --depth 25",
+            "verify --trials 0",
+            "verify --trials -1",
+            "verify --ineq 1.10 --trials 0",
+        ],
+    )
+    def test_out_of_domain_verify_exits_one(self, capsys, argv):
+        status = main(argv.split())
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_invariant_violation_maps_to_exit_two(self, capsys, monkeypatch):
         from treemax.errors import InvariantViolation
 

@@ -9,8 +9,8 @@ from treemax import (
     LineStepFunction,
     PowerLawFunction,
     StepFunction,
+    Tree,
     beta_family_residual,
-    build_uniform_tree,
     constants,
     envelope_bound,
     deficit,
@@ -27,7 +27,7 @@ from conftest import random_step_function
 
 
 def golden_phi():
-    return StepFunction(build_uniform_tree(2, 2), [4, 2, 1, 1])
+    return StepFunction(Tree(2, 2), [4, 2, 1, 1])
 
 
 class TestParams:

@@ -6,8 +6,8 @@ import pytest
 from treemax import (
     DomainError,
     StepFunction,
+    Tree,
     averages,
-    build_uniform_tree,
     constant_function,
     level_approximation,
     linearize,
@@ -22,7 +22,7 @@ from conftest import random_step_function
 
 
 def golden_phi():
-    return StepFunction(build_uniform_tree(2, 2), [4, 2, 1, 1])
+    return StepFunction(Tree(2, 2), [4, 2, 1, 1])
 
 
 def brute_force_maximal(phi):
@@ -53,11 +53,11 @@ class TestAverages:
         np.testing.assert_array_equal(avg, [2.0, 3.0, 1.0, 4.0, 2.0, 1.0, 1.0])
 
     def test_constant(self):
-        phi = constant_function(build_uniform_tree(3, 2), 0.7)
+        phi = constant_function(Tree(3, 2), 0.7)
         np.testing.assert_allclose(averages(phi), 0.7, rtol=1e-15)
 
     def test_single_spike(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [1, 0, 0, 0])
+        phi = StepFunction(Tree(2, 2), [1, 0, 0, 0])
         np.testing.assert_array_equal(
             averages(phi), [0.25, 0.5, 0.0, 1.0, 0.0, 0.0, 0.0]
         )
@@ -76,13 +76,13 @@ class TestMaximalFunction:
         np.testing.assert_array_equal(result.attaining_node, [3, 1, 0, 0])
 
     def test_constant_attains_at_root(self):
-        phi = constant_function(build_uniform_tree(2, 3), 1.3)
+        phi = constant_function(Tree(2, 3), 1.3)
         result = maximal_function(phi)
         np.testing.assert_allclose(result.m_phi.leaf_values, 1.3, rtol=0)
         assert set(result.attaining_node.tolist()) == {0}
 
     def test_single_spike(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [1, 0, 0, 0])
+        phi = StepFunction(Tree(2, 2), [1, 0, 0, 0])
         result = maximal_function(phi)
         np.testing.assert_array_equal(
             result.m_phi.leaf_values, [1.0, 0.5, 0.25, 0.25]
@@ -106,7 +106,7 @@ class TestMaximalFunction:
     def test_against_brute_force_exact_on_dyadic(self, rng):
         # dyadic-rational values make every average exact, so the sweep and
         # the rescan must agree bit for bit, attaining nodes included
-        tree = build_uniform_tree(2, 6)
+        tree = Tree(2, 6)
         values = rng.integers(0, 64, tree.leaf_count) / 16.0
         phi = StepFunction(tree, values)
         result = maximal_function(phi)
@@ -117,7 +117,7 @@ class TestMaximalFunction:
     def test_idempotent_on_maximal(self):
         # M(M(phi)) >= M(phi) trivially; equality of first moments fails,
         # but the maximal function of a constant stays put
-        phi = constant_function(build_uniform_tree(2, 4), 2.0)
+        phi = constant_function(Tree(2, 4), 2.0)
         twice = maximal_function(maximal_function(phi).m_phi).m_phi
         np.testing.assert_array_equal(twice.leaf_values, phi.leaf_values)
 
@@ -140,7 +140,7 @@ class TestLinearize:
         }
 
     def test_constant_collapses_to_root(self):
-        lin = linearize(constant_function(build_uniform_tree(2, 3), 0.8))
+        lin = linearize(constant_function(Tree(2, 3), 0.8))
         np.testing.assert_array_equal(lin.s_phi, [0])
         assert lin.a_mass == {0: 1.0}
         assert lin.star == {}
@@ -233,11 +233,11 @@ class TestWeakType:
         assert weak_type_deficit(golden_phi(), 2.5) == pytest.approx(0.1, abs=1e-15)
 
     def test_empty_level_set(self):
-        phi = constant_function(build_uniform_tree(2, 3), 1.0)
+        phi = constant_function(Tree(2, 3), 1.0)
         assert weak_type_deficit(phi, 2.0) == 0.0
 
     def test_single_spike(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [1, 0, 0, 0])
+        phi = StepFunction(Tree(2, 2), [1, 0, 0, 0])
         assert weak_type_deficit(phi, 0.3) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_lambda_must_be_positive(self):

@@ -14,7 +14,6 @@ from treemax import (
     StepFunction,
     Tree,
     bellman_value,
-    build_uniform_tree,
     decreasing_rearrangement,
     discretize,
     hardy_moment,
@@ -127,13 +126,13 @@ class TestPowerLawFunction:
 
 class TestDecreasingRearrangement:
     def test_descending_sort_with_equal_measures(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [1, 3, 2, 2])
+        phi = StepFunction(Tree(2, 2), [1, 3, 2, 2])
         g = decreasing_rearrangement(phi)
         np.testing.assert_array_equal(g.values, [3, 2, 2, 1])
         np.testing.assert_array_equal(g.breakpoints, [0, 0.25, 0.5, 0.75, 1.0])
 
     def test_constant(self):
-        phi = StepFunction(build_uniform_tree(2, 1), [0.7, 0.7])
+        phi = StepFunction(Tree(2, 1), [0.7, 0.7])
         np.testing.assert_array_equal(decreasing_rearrangement(phi).values, [0.7, 0.7])
 
     def test_equimeasurable(self, rng):
@@ -156,7 +155,7 @@ class TestDecreasingRearrangement:
             assert g.power_integral(p) == pytest.approx(moment(phi, p), rel=1e-13)
 
     def test_moment_identity_golden(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [4, 2, 1, 1])
+        phi = StepFunction(Tree(2, 2), [4, 2, 1, 1])
         g = decreasing_rearrangement(phi)
         for p in (1.0, 2.0, 3.0):
             assert g.power_integral(p) == moment(phi, p)
@@ -263,7 +262,7 @@ class TestHardyIntegrals:
 
 class TestRandomRearrangement:
     def test_identity_when_unseeded(self):
-        tree = build_uniform_tree(2, 3)
+        tree = Tree(2, 3)
         g = discretize(PowerLawFunction(c=0.75, a=0.25), tree.leaf_count)
         phi = random_rearrangement(g, tree, seed=None)
         np.testing.assert_array_equal(phi.leaf_values, g.values)
@@ -271,7 +270,7 @@ class TestRandomRearrangement:
     def test_moments_preserved_exactly(self):
         # the value multiset is unchanged, so moments agree to the last ulp
         # (the two summation orders may differ by one rounding)
-        tree = build_uniform_tree(2, 5)
+        tree = Tree(2, 5)
         g = discretize(PowerLawFunction(c=0.75, a=0.25), tree.leaf_count)
         phi = random_rearrangement(g, tree, seed=99)
         for p in (1.0, 2.0, 2.7):
@@ -281,27 +280,27 @@ class TestRandomRearrangement:
         )
 
     def test_rearrangement_round_trip(self):
-        tree = build_uniform_tree(2, 4)
+        tree = Tree(2, 4)
         g = discretize(PowerLawFunction(c=0.5, a=0.3), tree.leaf_count)
         phi = random_rearrangement(g, tree, seed=5)
         back = decreasing_rearrangement(phi)
         np.testing.assert_array_equal(back.values, g.values)
 
     def test_seeded_runs_reproduce(self):
-        tree = build_uniform_tree(2, 4)
+        tree = Tree(2, 4)
         g = discretize(PowerLawFunction(c=0.5, a=0.3), tree.leaf_count)
         a = random_rearrangement(g, tree, seed=123)
         b = random_rearrangement(g, tree, seed=123)
         np.testing.assert_array_equal(a.leaf_values, b.leaf_values)
 
     def test_piece_count_mismatch(self):
-        tree = build_uniform_tree(2, 3)
+        tree = Tree(2, 3)
         g = discretize(PowerLawFunction(c=0.75, a=0.25), 7)
         with pytest.raises(ShapeError):
             random_rearrangement(g, tree, seed=1)
 
     def test_unequal_widths_rejected(self):
-        tree = build_uniform_tree(2, 1)
+        tree = Tree(2, 1)
         g = LineStepFunction([0.0, 0.3, 1.0], [2.0, 1.0])
         with pytest.raises(ShapeError):
             random_rearrangement(g, tree, seed=1)

@@ -11,7 +11,6 @@ from treemax import (
     SizeError,
     StepFunction,
     Tree,
-    build_uniform_tree,
     constant_function,
     load_step_function,
     moment,
@@ -23,107 +22,113 @@ from conftest import random_step_function
 
 class TestBuildUniformTree:
     def test_binary_depth_two(self):
-        tree = build_uniform_tree(2, 2)
+        tree = Tree(2, 2)
         assert tree.node_count == 7
         assert tree.leaf_count == 4
         assert tree.leaf_measure == 0.25
 
     def test_degenerate_root_only(self):
-        tree = build_uniform_tree(2, 0)
+        tree = Tree(2, 0)
         assert tree.node_count == 1
         assert tree.leaf_count == 1
-        assert tree.node(0).measure == 1.0
-        assert tree.node(0).children == ()
+        assert tree.leaf_measure == 1.0
+        assert tree.parent_of(0) is None
 
     def test_ternary_depth_two(self):
-        tree = build_uniform_tree(3, 2)
+        tree = Tree(3, 2)
         assert tree.node_count == 13
         assert tree.leaf_count == 9
         assert tree.leaf_measure == pytest.approx(1 / 9, abs=0)
 
     def test_arity_below_two_rejected(self):
         with pytest.raises(DomainError):
-            build_uniform_tree(1, 3)
+            Tree(1, 3)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(DomainError):
-            build_uniform_tree(2, -1)
+            Tree(2, -1)
 
     def test_node_budget_guard(self):
         with pytest.raises(SizeError):
-            build_uniform_tree(2, 25)
+            Tree(2, 25)
 
     @pytest.mark.parametrize("arity,depth", [(2, 3), (3, 2), (4, 2)])
     def test_structure_invariants(self, arity, depth):
-        tree = build_uniform_tree(arity, depth)
-        assert tree.node(tree.root).measure == 1.0
-        # children partition each parent: measures sum back exactly for
-        # dyadic arities, within 1e-12 otherwise
+        tree = Tree(arity, depth)
+        assert tree.measure_at_level(0) == 1.0
+        # children partition each parent: every non-leaf node has exactly
+        # `arity` children whose measures sum back exactly for dyadic
+        # arities, within 1e-12 otherwise
         tolerance = 0.0 if arity == 2 else 1e-12
+        child_count = np.zeros(tree.node_count, dtype=np.int64)
+        child_sum = np.zeros(tree.node_count)
+        for node_id in range(1, tree.node_count):
+            parent = tree.parent_of(node_id)
+            assert tree.level_of(parent) == tree.level_of(node_id) - 1
+            child_count[parent] += 1
+            child_sum[parent] += tree.measure_at_level(tree.level_of(node_id))
         for node_id in range(tree.node_count):
-            node = tree.node(node_id)
-            assert node.measure > 0
-            assert len(node.children) in (0, arity)
-            if node.children:
-                child_sum = sum(tree.node(c).measure for c in node.children)
-                assert abs(child_sum - node.measure) <= tolerance
-                for child in node.children:
-                    assert tree.parent_of(child) == node_id
+            level = tree.level_of(node_id)
+            if level == depth:
+                assert child_count[node_id] == 0
+            else:
+                assert child_count[node_id] == arity
+                assert abs(child_sum[node_id] - tree.measure_at_level(level)) <= tolerance
 
     def test_level_measure_shrinks_with_depth(self):
-        tree = build_uniform_tree(3, 5)
+        tree = Tree(3, 5)
         measures = [tree.measure_at_level(m) for m in range(6)]
         assert measures == sorted(measures, reverse=True)
         assert measures[-1] == 3.0**-5
 
     def test_ancestor_chain(self):
-        tree = build_uniform_tree(2, 3)
-        chain = tree.ancestors_of_leaf(5)
-        assert chain[-1] == tree.root
-        assert len(chain) == 4
-        for deeper, higher in zip(chain, chain[1:]):
-            assert tree.parent_of(deeper) == higher
+        tree = Tree(2, 3)
+        chain = [int(tree.offsets[3]) + 5]
+        while chain[-1] != 0:
+            chain.append(tree.parent_of(chain[-1]))
+        assert chain == [12, 5, 2, 0]
+        assert [tree.level_of(i) for i in chain] == [3, 2, 1, 0]
 
 
 class TestStepFunction:
     def test_rejects_negative_values(self):
         with pytest.raises(DomainError):
-            StepFunction(build_uniform_tree(2, 1), [1.0, -0.5])
+            StepFunction(Tree(2, 1), [1.0, -0.5])
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ShapeError):
-            StepFunction(build_uniform_tree(2, 2), [1.0, 2.0])
+            StepFunction(Tree(2, 2), [1.0, 2.0])
 
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
-            StepFunction(build_uniform_tree(2, 1), [1.0, float("nan")])
+            StepFunction(Tree(2, 1), [1.0, float("nan")])
 
     def test_values_frozen(self):
-        phi = StepFunction(build_uniform_tree(2, 1), [1.0, 2.0])
+        phi = StepFunction(Tree(2, 1), [1.0, 2.0])
         with pytest.raises(ValueError):
             phi.leaf_values[0] = 3.0
 
     def test_integral_is_weighted_sum(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [4, 2, 1, 1])
+        phi = StepFunction(Tree(2, 2), [4, 2, 1, 1])
         assert phi.integral() == 2.0
 
 
 class TestMoment:
     def test_hand_sum_first_moment(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [4, 2, 1, 1])
+        phi = StepFunction(Tree(2, 2), [4, 2, 1, 1])
         assert moment(phi, 1) == 2.0  # (4+2+1+1)/4
 
     def test_hand_sum_second_moment(self):
-        phi = StepFunction(build_uniform_tree(2, 2), [4, 2, 1, 1])
+        phi = StepFunction(Tree(2, 2), [4, 2, 1, 1])
         assert moment(phi, 2) == 5.5  # (16+4+1+1)/4
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_constant_function(self, p):
-        phi = constant_function(build_uniform_tree(3, 3), 1.7)
+        phi = constant_function(Tree(3, 3), 1.7)
         assert moment(phi, p) == pytest.approx(1.7**p, rel=1e-14)
 
     def test_order_must_be_positive(self):
-        phi = constant_function(build_uniform_tree(2, 1), 1.0)
+        phi = constant_function(Tree(2, 1), 1.0)
         with pytest.raises(DomainError):
             moment(phi, 0.0)
 
