@@ -19,6 +19,7 @@ from .errors import DomainError, InfeasibleMomentsError
 P_MAX = 64.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
+_BETA_TOL = 1e-10  # bracket width at which the envelope search stops
 
 
 def _check_p(p: float) -> float:
@@ -38,13 +39,12 @@ def h_p(z: float, p: float) -> float:
     return z ** (p - 1.0) * (p - (p - 1.0) * z)
 
 
-def omega_p(x: float, p: float, tolerance: float = 0.0) -> float:
+def omega_p(x: float, p: float) -> float:
     """Inverse of :func:`h_p` on [0, 1] by bisection.
 
-    The default ``tolerance = 0`` runs the bracket down to collapse (at most
-    ~60 halvings), so the result reproduces x under :func:`h_p` to a few
-    ulps; a positive tolerance stops once the bracket is that narrow. The
-    bracket endpoints are exact roots for x = 1 and x = 0.
+    The bracket runs down to collapse (at most ~60 halvings), so the result
+    reproduces x under :func:`h_p` to a few ulps. The bracket endpoints are
+    exact roots for x = 1 and x = 0.
     """
     p = _check_p(p)
     if not 0.0 <= x <= 1.0:
@@ -56,8 +56,6 @@ def omega_p(x: float, p: float, tolerance: float = 0.0) -> float:
         return z_max
     lo, hi = 1.0, z_max  # h(lo) = 1 >= x >= 0 ~ h(hi)
     for _ in range(200):
-        if hi - lo <= tolerance:
-            break
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -117,9 +115,7 @@ def envelope_bound(p: float, f: float, big_f: float, beta: float) -> float:
     return _envelope(p, f, big_f, beta)
 
 
-def minimize_envelope(
-    p: float, f: float, big_f: float, beta_tol: float = 1e-10
-) -> tuple[float, float]:
+def minimize_envelope(p: float, f: float, big_f: float) -> tuple[float, float]:
     """Golden-section minimum of the envelope over beta in (0, 1/(p-1)].
 
     Returns ``(beta_opt, min_value)``. The minimum matches the closed form of
@@ -137,7 +133,7 @@ def minimize_envelope(
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = envelope(x1), envelope(x2)
-    while hi - lo > beta_tol:
+    while hi - lo > _BETA_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INVPHI * (hi - lo)

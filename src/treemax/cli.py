@@ -11,7 +11,9 @@ invariant is violated beyond rounding slack.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -31,6 +33,7 @@ from .rearrange import (
 )
 from .sweeps import (
     BATTERY_INEQUALITIES,
+    BATTERY_SHAPES,
     CellOutcome,
     battery_cells,
     mixture_values,
@@ -48,12 +51,14 @@ from .tree import Tree, load_step_function, moment
 # ---------------------------------------------------------------------------
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def to_json(obj, indent: int = 0) -> str:
     """JSON with insertion-ordered keys and 17-significant-digit floats."""
+    if isinstance(obj, (float, np.floating)):
+        text = f"{float(obj):.17g}"
+        return _NON_FINITE.get(text, text)
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -70,13 +75,6 @@ def to_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if np.isnan(x):
-            return "NaN"
-        if np.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format_float(x)
     if obj is None:
         return "null"
     return json.dumps(str(obj))
@@ -89,6 +87,20 @@ def _emit(payload: dict, path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A sibling file that replaces ``path`` only if the block completes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def parse_profile(spec: str):
@@ -137,9 +149,9 @@ def cmd_maximal(args) -> int:
     }
     payload = {
         "config": config,
-        "phi": list(phi.leaf_values),
-        "m_phi": list(result.m_phi.leaf_values),
-        "attaining_node": [int(i) for i in result.attaining_node],
+        "phi": phi.leaf_values,
+        "m_phi": result.m_phi.leaf_values,
+        "attaining_node": result.attaining_node,
         "linearization": lin.to_dict(),
         "moments": {
             "f": moment(phi, 1.0),
@@ -234,15 +246,13 @@ def cmd_verify(args) -> int:
     if args.ineq == "grid":
         cells = battery_cells()
         inequalities = BATTERY_INEQUALITIES
-        shapes = None  # battery default: depths 2..10, arities 2 and 3
+        shapes = BATTERY_SHAPES  # depths 2..10, arities 2 and 3
     else:
         cells = [(args.p, args.q, args.beta)]
         inequalities = (args.ineq,)
         shapes = [(args.arity, args.depth)]
 
-    sink = open(args.output, "w", encoding="utf-8") if args.output else None
-    try:
-        kwargs = {} if shapes is None else {"shapes": shapes}
+    with _replacing(args.output) if args.output else contextlib.nullcontext() as sink:
         summary = run_battery(
             base_seed=args.seed,
             trials_per_cell=args.trials,
@@ -250,11 +260,8 @@ def cmd_verify(args) -> int:
             inequalities=inequalities,
             csv_sink=sink,
             header_lines=(f"config: {json.dumps(config)}",),
-            **kwargs,
+            shapes=shapes,
         )
-    finally:
-        if sink:
-            sink.close()
     payload = {"config": config, **summary}
     _emit(payload, args.summary)
     return 0 if summary["violations"] == 0 else 2

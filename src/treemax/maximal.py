@@ -109,7 +109,7 @@ class Linearization:
 
     def to_dict(self) -> dict:
         """JSON-friendly dump: parallel lists over ``s_phi`` plus the star map."""
-        ids = [int(i) for i in self.s_phi]
+        ids = self.s_phi.tolist()
         return {
             "s_phi": ids,
             "a": [self.a_mass[i] for i in ids],
@@ -136,24 +136,23 @@ def linearize(phi: StepFunction) -> Linearization:
         mass[0] = 0.0
     ids = np.array(sorted(mass), dtype=np.int64)
 
-    member_set = set(mass)
-    star: dict[int, int] = {}
-    for node_id in ids.tolist():
-        if node_id == 0:
-            continue
-        parent = tree.parent_of(node_id)
-        while parent not in member_set:
-            parent = tree.parent_of(parent)
-        star[node_id] = parent
-
-    y = {i: float(node_avg[i]) for i in ids.tolist()}
+    # top-down by level: the nearest member strictly above a node is its parent
+    # (id (i - 1) // arity) if that is a member, else the one above the parent
+    is_member = np.zeros(tree.node_count, dtype=bool)
+    is_member[ids] = True
+    above = np.zeros(tree.node_count, dtype=np.int64)
+    for lo, hi in zip(tree.offsets[1:-1], tree.offsets[2:]):
+        parent = (np.arange(lo, hi) - 1) // tree.arity
+        above[lo:hi] = np.where(is_member[parent], parent, above[parent])
+    star = dict(zip(ids[1:].tolist(), above[ids[1:]].tolist()))
+    y = dict(zip(ids.tolist(), node_avg[ids].tolist()))
     return Linearization(s_phi=ids, a_mass=mass, y_avg=y, star=star)
 
 
 def reconstruct_maximal(lin: Linearization, result: MaximalResult) -> np.ndarray:
     """Per-leaf maximal values rebuilt from the linearization weights."""
-    lookup = {i: lin.y_avg[i] for i in lin.s_phi.tolist()}
-    return np.array([lookup[int(i)] for i in result.attaining_node])
+    y = np.fromiter(map(lin.y_avg.__getitem__, lin.s_phi.tolist()), np.float64, lin.s_phi.size)
+    return y[np.searchsorted(lin.s_phi, result.attaining_node)]
 
 
 def weak_type_deficit(phi: StepFunction, lam: float) -> float:

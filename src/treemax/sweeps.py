@@ -29,6 +29,9 @@ BATTERY_INEQUALITIES = ("1.2", "1.7", "1.8", "1.9")
 # Largest matrix (rows * leaves) processed at once; keeps peak memory flat.
 MAX_BATCH_ELEMENTS = 1 << 20
 
+SWAP_BATCH = 96  # candidate leaf swaps per round of the orbit search's ascent
+STALL_LIMIT = 60  # consecutive rounds without an improving swap that end it
+
 
 def battery_qs(p: float) -> tuple[float, ...]:
     return (1.0, (1.0 + p) / 2.0, p)
@@ -112,10 +115,12 @@ def evaluate_cell(
     Each trial draws a tree shape, i.i.d. mixture leaf values, and a
     weak-type level; every deficit is an exact finite sum per trial. The
     generator is owned by the cell, so a (seed, cell) pair fully determines
-    every number here. Out-of-domain parameters, tree shapes or trial
-    counts raise before anything is drawn.
+    every number here. Out-of-domain parameters, tree shapes, trial counts
+    or inequality keys raise before anything is drawn.
     """
     IneqParams(p, q, beta)  # validates the parameter triple
+    if not set(inequalities) <= set(BATTERY_INEQUALITIES):
+        raise DomainError(f"inequalities must be among {BATTERY_INEQUALITIES}, got {inequalities}")
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     shapes = list(shapes)
@@ -311,8 +316,6 @@ def oracle_sup(
     seed: int,
     arity: int = 2,
     swap_rounds: int = 800,
-    swap_batch: int = 96,
-    stall_limit: int = 60,
 ) -> tuple[float, dict]:
     """Lower-bound search for the extremal value at moments (f, F).
 
@@ -381,12 +384,12 @@ def oracle_sup(
     improving = 0
     stall = 0
     for _ in range(swap_rounds):
-        i = rng.integers(0, n, swap_batch)
-        j = rng.integers(0, n, swap_batch)
+        i = rng.integers(0, n, SWAP_BATCH)
+        j = rng.integers(0, n, SWAP_BATCH)
         keep = (i != j) & (current[i] != current[j])
         if not keep.any():
             stall += 1
-            if stall >= stall_limit:
+            if stall >= STALL_LIMIT:
                 break
             continue
         i, j = i[keep], j[keep]
@@ -404,7 +407,7 @@ def oracle_sup(
             stall = 0
         else:
             stall += 1
-            if stall >= stall_limit:
+            if stall >= STALL_LIMIT:
                 break
     if current_value > best_value:
         best_value = current_value
@@ -423,14 +426,7 @@ def oracle_sup(
     return best_value, summary
 
 
-def orbit_sample_max(
-    g: LineStepFunction,
-    tree: Tree,
-    p: float,
-    n_seeds: int,
-    seed: int,
-    include_identity: bool = True,
-) -> float:
+def orbit_sample_max(g: LineStepFunction, tree: Tree, p: float, n_seeds: int, seed: int) -> float:
     """Largest p-th moment of the maximal function over ``n_seeds`` random
     rearrangements of the profile's pieces (plus the given order itself)."""
     n = tree.leaf_count
@@ -439,9 +435,7 @@ def orbit_sample_max(
             f"profile has {g.piece_count} pieces, tree has {n} leaves"
         )
     values = g.values
-    best = -np.inf
-    if include_identity:
-        best = float(_orbit_values(values, tree.arity, tree.depth, p)[0])
+    best = float(_orbit_values(values, tree.arity, tree.depth, p)[0])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     chunk = max(1, MAX_BATCH_ELEMENTS // n)
     remaining = int(n_seeds)

@@ -26,6 +26,21 @@ class TestSerialization:
         assert to_json(0.1) == "0.10000000000000001"
         assert to_json(2.0) == "2"
         assert to_json(float("nan")) == "NaN"
+        assert to_json(float("inf")) == "Infinity"
+        assert to_json(float("-inf")) == "-Infinity"
+        assert to_json(np.float64(0.1)) == "0.10000000000000001"
+        assert to_json(np.float32(0.1)) == "0.10000000149011612"
+        assert to_json(np.int64(-7)) == "-7"
+        assert to_json(np.bool_(True)) == "true"
+        assert to_json(np.bool_(False)) == "false"
+
+    def test_containers(self):
+        assert to_json({}) == "{}"
+        assert to_json([]) == "[]"
+        nested = {"a": {"b": [1, 2.5], "c": {}}, "d": np.array([1.0, np.nan])}
+        assert to_json(nested) == (
+            '{\n  "a": {\n    "b": [1, 2.5],\n    "c": {}\n  },\n  "d": [1, NaN]\n}'
+        )
 
     def test_key_order_preserved(self):
         assert to_json({"b": 1, "a": 2}).index('"b"') < to_json({"b": 1, "a": 2}).index('"a"')
@@ -233,13 +248,18 @@ class TestErrorPaths:
             "verify --ineq 1.10 --trials 0",
         ],
     )
-    def test_out_of_domain_verify_exits_one(self, capsys, argv):
-        status = main(argv.split())
+    def test_out_of_domain_verify_exits_one(self, capsys, tmp_path, argv):
+        keep = tmp_path / "keep.csv"
+        keep.write_bytes(b"old\n")
+        status = main(argv.split() + ["--output", str(keep)])
         err = capsys.readouterr().err
         assert status == 1
         assert err.startswith("error:")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        # a rejected run leaves an existing output file as it was
+        assert keep.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [keep]
 
     def test_invariant_violation_maps_to_exit_two(self, capsys, monkeypatch):
         from treemax.errors import InvariantViolation

@@ -36,6 +36,10 @@ CASES = {
         "maximal --input phi.csv --p 3",
         "29ea65446a93b6f7dd2a0e9db6aa57a9030ae8af8ea235304bbbea63b6ec830d",
     ),
+    "maximal-ternary-ties": (
+        "maximal --input phi.csv --p 2",
+        "71621f2ace6f7073881edbeccf0d6c73ad482e5970b3bca97cadc5f187a8ae31",
+    ),
     "oracle": (
         "oracle --p 2 --f 1 --F 2 --depth 6 --budget 20 --seed 5",
         "fc4646084c385ca851ac01a30d91b70d09342086dd9f11beba80c7d6e7523104",
@@ -69,13 +73,26 @@ def _write_seeded_phi(path) -> None:
     save_step_function(StepFunction(Tree(2, 10), values), path)
 
 
+def _write_tie_heavy_phi(path) -> None:
+    """A 3**6-leaf step function of a few rounded values with constant
+    subtrees, so many nodes tie with their ancestors' averages."""
+    rng = np.random.default_rng(3606)
+    values = rng.integers(0, 3, 729) * 0.5
+    values[:243] = 1.0
+    values[486:513] = 2.0
+    save_step_function(StepFunction(Tree(3, 6), values), path)
+
+
+INPUTS = {"maximal": _write_seeded_phi, "maximal-ternary-ties": _write_tie_heavy_phi}
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_digest(name, tmp_path, monkeypatch, capsys):
     argv, expected = CASES[name]
     monkeypatch.setenv("MAXTREE_THREADS", "2")
     monkeypatch.chdir(tmp_path)
-    if name == "maximal":
-        _write_seeded_phi(tmp_path / "phi.csv")
+    if name in INPUTS:
+        INPUTS[name](tmp_path / "phi.csv")
     status = main(argv.split())
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
     for written in WRITTEN:

@@ -203,8 +203,13 @@ class TestLinearize:
             )
             assert weighted == pytest.approx(moment(m_phi, p), rel=1e-13)
 
-    def test_star_points_to_smallest_strict_superset(self, rng):
-        phi = random_step_function(rng, arity=2, depth=6)
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("arity,depth", [(2, 6), (3, 4), (4, 3)])
+    def test_star_points_to_smallest_strict_superset(self, rng, arity, depth, ties):
+        phi = random_step_function(rng, arity=arity, depth=depth)
+        if ties:
+            # rounded values tie children with their ancestors' averages
+            phi = StepFunction(phi.tree, np.round(phi.leaf_values))
         tree = phi.tree
         lin = linearize(phi)
         members = set(lin.s_phi.tolist())
@@ -220,6 +225,7 @@ class TestLinearize:
             # ...and no member lies strictly between
             for mid in chain[: chain.index(parent)]:
                 assert mid not in members
+        assert set(lin.star) == members - {0}
 
     def test_reconstruction_matches_maximal_exactly(self, rng):
         phi = random_step_function(rng, arity=3, depth=4)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from treemax import (
+    DomainError,
     InfeasibleMomentsError,
     PowerLawFunction,
     StepFunction,
@@ -70,6 +71,11 @@ class TestEvaluateCell:
             2.0, 1.0, 1.0, trials=50, seed=1, inequalities=("1.7",)
         )
         assert set(out.deficit) == {"1.7"}
+
+    @pytest.mark.parametrize("keys", [("1.10",), ("1.7", "9.9")])
+    def test_unknown_inequality_rejected(self, keys):
+        with pytest.raises(DomainError):
+            evaluate_cell(2.0, 1.0, 1.0, 4, 0, shapes=[(2, 3)], inequalities=keys)
 
     def test_single_shape(self):
         out = evaluate_cell(
