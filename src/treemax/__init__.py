@@ -9,7 +9,6 @@ randomized verification sweeps for the whole family of sharp inequalities.
 from .bellman import (
     BellmanPoint,
     bellman_value,
-    envelope_bound,
     h_p,
     minimize_envelope,
     omega_p,
@@ -33,7 +32,6 @@ from .inequalities import (
     deficit,
     extremizer_sweep,
     first_constant,
-    gap_function,
     hardy_deficit,
     root_function,
     second_constant,
@@ -45,9 +43,7 @@ from .maximal import (
     averages,
     level_approximation,
     linearize,
-    lp_bound_deficit,
     maximal_function,
-    weak_type_deficit,
 )
 from .rearrange import (
     LineStepFunction,
@@ -67,7 +63,6 @@ from .sweeps import (
 from .tree import (
     StepFunction,
     Tree,
-    constant_function,
     load_step_function,
     moment,
     save_step_function,

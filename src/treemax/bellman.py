@@ -3,8 +3,8 @@
 ``h_p`` is the decreasing bijection of [1, p/(p-1)] onto [0, 1] whose inverse
 ``omega_p`` parameterizes the sharp upper bound ``F * omega_p(f**p/F)**p``
 for the p-th moment of the maximal function at prescribed moments (f, F).
-The one-parameter family ``envelope_bound`` is an upper envelope whose
-minimum over the parameter reproduces the same value.
+A one-parameter family of upper bounds, the envelope, has the same value as
+its minimum over the parameter (:func:`minimize_envelope`).
 """
 from __future__ import annotations
 
@@ -87,8 +87,8 @@ class BellmanPoint:
 def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:
     """Evaluate ``F * omega_p(f**p/F)**p`` with its extremal parameters."""
     p = _check_p(p)
-    if f <= 0 or big_f <= 0:
-        raise DomainError("moments f and F must be positive")
+    if not (0.0 < f < math.inf and 0.0 < big_f < math.inf):
+        raise DomainError(f"moments f and F must be positive and finite, got f={f}, F={big_f}")
     ratio = f**p / big_f
     if ratio > 1.0 + 1e-12:
         raise InfeasibleMomentsError(
@@ -103,16 +103,6 @@ def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:
 def _envelope(p: float, f: float, big_f: float, beta: float) -> float:
     """The envelope member at ``beta``, for arguments already checked."""
     return (beta + 1.0) / beta * ((beta + 1.0) ** (p - 1.0) * big_f - f**p) / (p - 1.0)
-
-
-def envelope_bound(p: float, f: float, big_f: float, beta: float) -> float:
-    """One member of the parametric upper envelope at the pair (f, F)."""
-    p = _check_p(p)
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    if f <= 0 or big_f <= 0 or f**p > big_f * (1.0 + 1e-12):
-        raise InfeasibleMomentsError(f"invalid moments f={f}, F={big_f}")
-    return _envelope(p, f, big_f, beta)
 
 
 def minimize_envelope(p: float, f: float, big_f: float) -> tuple[float, float]:

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .bellman import bellman_value, minimize_envelope
-from .errors import DomainError, InvariantViolation, ShapeError, SizeError
+from .errors import DomainError, InvariantViolation, ShapeError
 from .inequalities import IneqParams, extremizer_sweep, hardy_deficit, sharpness_G
-from .maximal import linearize, maximal_function, reconstruct_maximal
+from .maximal import linearize, reconstruct_maximal
 from .rearrange import (
     LineStepFunction,
     PowerLawFunction,
@@ -54,23 +54,10 @@ from .tree import Tree, load_step_function, moment
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def to_json(obj, indent: int = 0) -> str:
-    """JSON with insertion-ordered keys and 17-significant-digit floats."""
+def _scalar_json(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         text = f"{float(obj):.17g}"
         return _NON_FINITE.get(text, text)
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {to_json(v, indent + 2)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = [to_json(v, indent) for v in obj]
-        return "[" + ", ".join(seq) + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -78,6 +65,28 @@ def to_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     return json.dumps(str(obj))
+
+
+def to_json(obj, indent: int = 0) -> str:
+    """JSON with insertion-ordered keys and 17-significant-digit floats.
+
+    Lists, tuples and arrays hold scalars only in every payload, so a
+    sequence is one pass of the scalar formatter.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = " " * indent
+        items = [
+            f'{pad}  {json.dumps(str(k))}: {to_json(v, indent + 2)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_scalar_json, obj)) + "]"
+    return _scalar_json(obj)
 
 
 def _emit(payload: dict, path: str | None) -> None:
@@ -136,9 +145,9 @@ def parse_profile(spec: str):
 
 def cmd_maximal(args) -> int:
     phi = load_step_function(args.input)
-    result = maximal_function(phi)
     lin = linearize(phi)
-    rebuilt = reconstruct_maximal(lin, result)
+    result = lin.result
+    rebuilt = reconstruct_maximal(lin)
     exact = bool(np.array_equal(rebuilt, result.m_phi.leaf_values))
     config = {
         "command": "maximal",
@@ -278,6 +287,7 @@ def cmd_sharpness(args) -> int:
         "grid": args.grid,
         "points": args.points,
     }
+    params = IneqParams(p=args.p, q=args.q, beta=args.beta, f=args.f)
     lines = [f"# config: {json.dumps(config)}"]
     if args.family == "G":
         lines.append("alpha,G,limit_q_over_p_minus_1")
@@ -293,7 +303,6 @@ def cmd_sharpness(args) -> int:
         else:
             upper = 1.0 / args.p if args.family == "g_alpha" else 1.0 / (args.p - 1.0)
             grid = [upper * i / (args.points + 1) for i in range(1, args.points + 1)]
-        params = IneqParams(p=args.p, q=args.q, beta=args.beta, f=args.f)
         points = extremizer_sweep(params, args.family, grid)
         lines.append("family,grid_value,alpha,admissible,deficit,residual,residual_target,reason")
         for pt in points:
@@ -477,7 +486,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ShapeError, SizeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

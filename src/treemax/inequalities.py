@@ -13,16 +13,18 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
+import numpy as np
+
 from .bellman import _check_p
 from .errors import DomainError, InvariantViolation
-from .maximal import maximal_function
+from .maximal import batch_maximal_leaves
 from .rearrange import (
     LineStepFunction,
     PowerLawFunction,
     hardy_moment,
     hardy_power,
 )
-from .tree import StepFunction, moment
+from .tree import StepFunction
 
 # A computed deficit may dip below zero by accumulated rounding only; this is
 # the relative slack before we call it a genuine violation.
@@ -42,10 +44,10 @@ class IneqParams:
         _check_p(self.p)
         if not 1.0 <= self.q <= self.p:
             raise DomainError(f"q must lie in [1, p], got q={self.q}, p={self.p}")
-        if self.beta <= 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.f <= 0:
-            raise DomainError(f"f must be positive, got {self.f}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        if not 0.0 < self.f < math.inf:
+            raise DomainError(f"f must be positive and finite, got {self.f}")
 
 
 def first_constant(p: float, q: float, beta: float) -> float:
@@ -79,8 +81,7 @@ class Constants:
     ``t_beta`` is the unique root of :func:`root_function` above ``t0``; for
     beta <= 1/(p-1) it coincides with ``1/(beta+1)``. For q == 1 the root
     function degenerates to zero everywhere, so ``t_beta`` carries the
-    continuous-in-q value ``1/(beta+1)`` and ``x_beta`` is NaN whenever
-    the defining denominator is nonpositive.
+    continuous-in-q value ``1/(beta+1)``.
     """
 
     A: float
@@ -89,7 +90,6 @@ class Constants:
     t0: float
     t_beta: float
     h_val: float
-    x_beta: float
 
 
 def _locate_t_beta(p: float, q: float, coupling: float, beta: float) -> float:
@@ -117,7 +117,7 @@ def _locate_t_beta(p: float, q: float, coupling: float, beta: float) -> float:
 
 def constants(params: IneqParams) -> Constants:
     """Fill every derived constant for the parameter triple."""
-    p, q, beta, f = params.p, params.q, params.beta, params.f
+    p, q, beta = params.p, params.q, params.beta
     coupling = coupling_constant(p, q, beta)
     t0 = (p - 1.0) / p
     if q == 1.0:
@@ -125,8 +125,6 @@ def constants(params: IneqParams) -> Constants:
         t_beta = 1.0 / (beta + 1.0)
     else:
         t_beta = _locate_t_beta(p, q, coupling, beta)
-    denom = p * t_beta - (p - 1.0)
-    x_beta = f**p / denom if denom > 0.0 else math.nan
     return Constants(
         A=coupling,
         c1=first_constant(p, q, beta),
@@ -134,18 +132,7 @@ def constants(params: IneqParams) -> Constants:
         t0=t0,
         t_beta=t_beta,
         h_val=coupling,
-        x_beta=x_beta,
     )
-
-
-def gap_function(x: float, params: IneqParams) -> float:
-    """``G(x) = A x - x**(1-q) * ((p-1)/p x + f**p/p)**q``: the upper envelope
-    of the deficit of the reciprocal form, maximal at ``x_beta``."""
-    if x <= 0:
-        raise DomainError(f"x must be positive, got {x}")
-    p, q, f = params.p, params.q, params.f
-    coupling = coupling_constant(p, q, params.beta)
-    return coupling * x - x ** (1.0 - q) * ((p - 1.0) / p * x + f**p / p) ** q
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +159,36 @@ def right_hand_side(inequality: str, p: float, q: float, beta: float, fp, j1, jq
     return second_constant(p, q, beta) * jq - first_constant(p, q, beta) * fp
 
 
+def tree_moments(v: np.ndarray, m: np.ndarray, p: float, q: float):
+    """Per-row ``f, F, J0, J1, Jq`` of step functions ``v`` (one row each)
+    and their maximal functions ``m``: the means of ``v``, ``v**p``,
+    ``m**p``, ``v * m**(p-1)`` and ``v**q * m**(p-q)``.
+
+    ``m`` is at least the row mean on every leaf, so it vanishes only on the
+    zero function.
+    """
+    mp = m**p
+    vp = v**p
+    j1 = (v * (mp / m)).mean(axis=1)
+    if q == 1.0:
+        jq = j1
+    elif q == p:
+        jq = vp.mean(axis=1)
+    else:
+        jq = ((v**q) * (mp / m**q)).mean(axis=1)
+    return v.mean(axis=1), vp.mean(axis=1), mp.mean(axis=1), j1, jq
+
+
+def weak_type_sides(v: np.ndarray, m: np.ndarray, lam: np.ndarray):
+    """Both sides of the weak-type bound (1.2) at one level per row: the
+    measure of ``{M phi > lam}`` and ``1/lam`` times the integral of ``phi``
+    over that set."""
+    if not np.all(lam > 0.0):
+        raise DomainError(f"lambda must be positive, got {lam}")
+    mask = m > lam[:, None]
+    return mask.mean(axis=1), (v * mask).sum(axis=1) / (v.shape[1] * lam)
+
+
 @dataclass(frozen=True)
 class DeficitReport:
     """One inequality instance: both sides, the slack, and the moment data."""
@@ -191,7 +208,10 @@ class DeficitReport:
         return max(1.0, abs(self.rhs))
 
 
-def _enforce_deficit(report: DeficitReport) -> DeficitReport:
+def _report(inequality, params, rhs, f, big_f, j0, j1, jq) -> DeficitReport:
+    """The report of one instance (its lhs is ``J0``), raised as a violation
+    when the deficit is below the rounding slack."""
+    report = DeficitReport(inequality, j0, rhs, rhs - j0, f, big_f, j0, j1, jq, params)
     if report.deficit < -DEFICIT_SLACK * report.scale():
         raise InvariantViolation(
             f"inequality ({report.inequality}) violated beyond rounding slack: "
@@ -210,41 +230,23 @@ def deficit(inequality: str, phi: StepFunction, params: IneqParams) -> DeficitRe
     """Deficit of one tree inequality on a step function.
 
     ``inequality`` selects the right-hand side ("1.7", "1.8" or "1.9", see
-    :func:`right_hand_side`). All moments are exact leaf sums. If the measured
-    mean of ``phi`` differs from ``params.f``, the measured value is used and
-    recorded in the returned report.
+    :func:`right_hand_side`). This is the one-row case of the battery's
+    :func:`tree_moments`, so it reproduces a battery row bit for bit. If the
+    measured mean of ``phi`` differs from ``params.f``, the measured value is
+    used and recorded in the returned report.
     """
     if inequality not in _TREE_INEQUALITIES:
         raise DomainError(
             f"unknown inequality {inequality!r}, expected one of {_TREE_INEQUALITIES}"
         )
     p, q = params.p, params.q
-    params = _resolve_f(params, moment(phi, 1.0))
-    f = params.f
-
-    m_phi = maximal_function(phi).m_phi
-    big_f = moment(phi, p)
-    j0 = moment(m_phi, p)
-    leaf_measure = phi.tree.leaf_measure
-    v = phi.leaf_values
-    m = m_phi.leaf_values
-    j1 = float((v * m ** (p - 1.0)).sum()) * leaf_measure
-    jq = float((v**q * m ** (p - q)).sum()) * leaf_measure
-
+    params = _resolve_f(params, float(phi.leaf_values.mean()))  # rejects phi = 0
+    v = phi.leaf_values[None, :]
+    m = batch_maximal_leaves(v, phi.tree.arity, phi.tree.depth)
+    moments = tree_moments(v, m, p, q)
+    f, _, _, j1, jq = moments
     rhs = right_hand_side(inequality, p, q, params.beta, f**p, j1, jq)
-    report = DeficitReport(
-        inequality=inequality,
-        lhs=j0,
-        rhs=rhs,
-        deficit=rhs - j0,
-        f=f,
-        F=big_f,
-        J0=j0,
-        J1=j1,
-        Jq=jq,
-        params=params,
-    )
-    return _enforce_deficit(report)
+    return _report(inequality, params, float(rhs[0]), *(float(x[0]) for x in moments))
 
 
 def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
@@ -260,19 +262,7 @@ def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
     j1 = hardy_moment(g, p, 1.0)
     jq = hardy_moment(g, p, q)
     rhs = right_hand_side("1.9", p, q, params.beta, f**p, j1, jq)
-    report = DeficitReport(
-        inequality="1.10",
-        lhs=j0,
-        rhs=rhs,
-        deficit=rhs - j0,
-        f=f,
-        F=g.power_integral(p),
-        J0=j0,
-        J1=j1,
-        Jq=jq,
-        params=params,
-    )
-    return _enforce_deficit(report)
+    return _report("1.10", params, rhs, f, g.power_integral(p), j0, j1, jq)
 
 
 # ---------------------------------------------------------------------------

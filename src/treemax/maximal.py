@@ -1,4 +1,4 @@
-"""Tree maximal operator, its linearization, and the weak-type deficit.
+"""Tree maximal operator and its linearization.
 
 Everything here is exact finite arithmetic on step functions: node averages
 are built bottom-up level by level, the maximal function is one root-to-leaf
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .tree import StepFunction, moment
+from .tree import StepFunction
 
 
 def _level_averages(values: np.ndarray, arity: int, depth: int) -> list[np.ndarray]:
@@ -99,13 +99,15 @@ class Linearization:
 
     ``s_phi`` always contains the root and is sorted by node id (level-major,
     so the root comes first). ``star`` maps every member except the root to
-    the smallest member strictly containing it.
+    the smallest member strictly containing it. ``result`` is the maximal
+    function the partition was read from.
     """
 
     s_phi: np.ndarray
     a_mass: dict[int, float]
     y_avg: dict[int, float]
     star: dict[int, int]
+    result: MaximalResult
 
     def to_dict(self) -> dict:
         """JSON-friendly dump: parallel lists over ``s_phi`` plus the star map."""
@@ -146,28 +148,13 @@ def linearize(phi: StepFunction) -> Linearization:
         above[lo:hi] = np.where(is_member[parent], parent, above[parent])
     star = dict(zip(ids[1:].tolist(), above[ids[1:]].tolist()))
     y = dict(zip(ids.tolist(), node_avg[ids].tolist()))
-    return Linearization(s_phi=ids, a_mass=mass, y_avg=y, star=star)
+    return Linearization(s_phi=ids, a_mass=mass, y_avg=y, star=star, result=result)
 
 
-def reconstruct_maximal(lin: Linearization, result: MaximalResult) -> np.ndarray:
+def reconstruct_maximal(lin: Linearization) -> np.ndarray:
     """Per-leaf maximal values rebuilt from the linearization weights."""
     y = np.fromiter(map(lin.y_avg.__getitem__, lin.s_phi.tolist()), np.float64, lin.s_phi.size)
-    return y[np.searchsorted(lin.s_phi, result.attaining_node)]
-
-
-def weak_type_deficit(phi: StepFunction, lam: float) -> float:
-    """Slack of the weak-type bound at level ``lam``.
-
-    Returns ``(1/lam) * integral of phi over {M phi > lam}`` minus the
-    measure of that set; nonnegative up to floating roundoff.
-    """
-    if lam <= 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    m_phi = maximal_function(phi).m_phi.leaf_values
-    mask = m_phi > lam
-    leaf_measure = phi.tree.leaf_measure
-    restricted = float(phi.leaf_values[mask].sum()) * leaf_measure
-    return restricted / lam - float(mask.sum()) * leaf_measure
+    return y[np.searchsorted(lin.s_phi, lin.result.attaining_node)]
 
 
 def level_approximation(phi: StepFunction, level: int) -> StepFunction:
@@ -184,11 +171,3 @@ def level_approximation(phi: StepFunction, level: int) -> StepFunction:
     block = tree.arity ** (tree.depth - level)
     return StepFunction(tree, np.repeat(avg, block))
 
-
-def lp_bound_deficit(phi: StepFunction, p: float) -> float:
-    """Slack of the crude p-th power bound ``(p/(p-1))**p * F`` over the
-    maximal function's p-th moment; nonnegative for every p > 1."""
-    if p <= 1:
-        raise DomainError(f"p must be > 1, got {p}")
-    m_phi = maximal_function(phi).m_phi
-    return (p / (p - 1)) ** p * moment(phi, p) - moment(m_phi, p)

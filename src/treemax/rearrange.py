@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bellman import _check_p
 from .errors import DivergentIntegralError, DomainError, ShapeError
 from .tree import StepFunction, Tree
 
@@ -252,8 +253,7 @@ def _adaptive_gauss(fn, lo, hi, scale, rel_tol=1e-10, max_splits=24) -> float:
 
 
 def _check_hardy_exponents(p: float, q: float) -> tuple[float, float]:
-    if p <= 1.0:
-        raise DomainError(f"p must be > 1, got {p}")
+    p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
     if q != 0.0 and not 1.0 <= q <= p:
         raise DomainError(f"q must lie in [1, p] (or 0 for the pure power), got {q}")
     return float(p), float(q)

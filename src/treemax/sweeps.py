@@ -16,7 +16,13 @@ import numpy as np
 
 from .bellman import bellman_value
 from .errors import DomainError
-from .inequalities import DEFICIT_SLACK, IneqParams, right_hand_side
+from .inequalities import (
+    DEFICIT_SLACK,
+    IneqParams,
+    right_hand_side,
+    tree_moments,
+    weak_type_sides,
+)
 from .maximal import batch_maximal_leaves
 from .rearrange import LineStepFunction, PowerLawFunction, discretize
 from .tree import Tree
@@ -154,28 +160,14 @@ def evaluate_cell(
             idx = rows[start : start + step]
             v = mixture_values(rng, idx.size, leaves)
             m = batch_maximal_leaves(v, tree.arity, tree.depth)
-
-            f = v.mean(axis=1)
+            f, big_f, j0, j1, jq = tree_moments(v, m, p, q)
             fp = f**p
-            mp = m**p
-            vp = v**p
-            j0 = mp.mean(axis=1)
-            j1 = (v * (mp / m)).mean(axis=1)
-            if q == 1.0:
-                jq = j1
-            elif q == p:
-                jq = vp.mean(axis=1)
-            else:
-                jq = ((v**q) * (mp / m**q)).mean(axis=1)
-
             out.f[idx] = f
-            out.F[idx] = vp.mean(axis=1)
+            out.F[idx] = big_f
 
             if "1.2" in out.lhs:
                 lam = lam_frac[idx] * m.max(axis=1)
-                mask = m > lam[:, None]
-                out.lhs["1.2"][idx] = mask.mean(axis=1)
-                out.rhs["1.2"][idx] = (v * mask).sum(axis=1) / (leaves * lam)
+                out.lhs["1.2"][idx], out.rhs["1.2"][idx] = weak_type_sides(v, m, lam)
             for key in ("1.7", "1.8", "1.9"):
                 if key in out.lhs:
                     out.lhs[key][idx] = j0
@@ -307,6 +299,28 @@ def _orbit_values(x: np.ndarray, arity: int, depth: int, p: float) -> np.ndarray
     return (m**p).mean(axis=1)
 
 
+def _orbit_best(values: np.ndarray, tree: Tree, p: float, count: int, rng):
+    """Best p-th moment of the maximal function over ``values`` in the given
+    order and ``count`` seeded random arrangements of it, as ``(value,
+    arrangement, from_random)``; ties keep the earliest arrangement."""
+    if count < 0:
+        raise DomainError(f"arrangement count must be nonnegative, got {count}")
+    n = tree.leaf_count
+    best_value = float(_orbit_values(values, tree.arity, tree.depth, p)[0])
+    best, from_random = values, False
+    chunk = max(1, MAX_BATCH_ELEMENTS // n)
+    remaining = int(count)
+    while remaining > 0:
+        rows = min(chunk, remaining)
+        remaining -= rows
+        candidates = values[np.argsort(rng.random((rows, n)), axis=1)]
+        found = _orbit_values(candidates, tree.arity, tree.depth, p)
+        i = int(np.argmax(found))
+        if found[i] > best_value:
+            best_value, best, from_random = float(found[i]), candidates[i].copy(), True
+    return best_value, best, from_random
+
+
 def oracle_sup(
     p: float,
     f: float,
@@ -358,26 +372,9 @@ def oracle_sup(
     bound_achieved = bellman_value(p, f_achieved, big_f_achieved).value
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    evaluations = 0
-
-    best = base.copy()
-    best_value = float(_orbit_values(best, arity, depth, p)[0])
-    best_from = "sorted"
-    evaluations += 1
-
-    chunk = max(1, MAX_BATCH_ELEMENTS // n)
-    remaining = int(budget)
-    while remaining > 0:
-        rows = min(chunk, remaining)
-        remaining -= rows
-        candidates = base[np.argsort(rng.random((rows, n)), axis=1)]
-        values = _orbit_values(candidates, arity, depth, p)
-        evaluations += rows
-        i = int(np.argmax(values))
-        if values[i] > best_value:
-            best_value = float(values[i])
-            best = candidates[i].copy()
-            best_from = "random"
+    best_value, best, from_random = _orbit_best(base, tree, p, budget, rng)
+    best_from = "random" if from_random else "sorted"
+    evaluations = 1 + budget
 
     current = best.copy()
     current_value = best_value
@@ -434,14 +431,5 @@ def orbit_sample_max(g: LineStepFunction, tree: Tree, p: float, n_seeds: int, se
         raise DomainError(
             f"profile has {g.piece_count} pieces, tree has {n} leaves"
         )
-    values = g.values
-    best = float(_orbit_values(values, tree.arity, tree.depth, p)[0])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    chunk = max(1, MAX_BATCH_ELEMENTS // n)
-    remaining = int(n_seeds)
-    while remaining > 0:
-        rows = min(chunk, remaining)
-        remaining -= rows
-        candidates = values[np.argsort(rng.random((rows, n)), axis=1)]
-        best = max(best, float(_orbit_values(candidates, tree.arity, tree.depth, p).max()))
-    return best
+    return _orbit_best(g.values, tree, p, n_seeds, rng)[0]

@@ -12,6 +12,7 @@ the deepest level; every integral of it is an exact finite sum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -133,18 +134,14 @@ class StepFunction:
         )
 
 
-def constant_function(tree: Tree, value: float) -> StepFunction:
-    return StepFunction(tree, np.full(tree.leaf_count, float(value)))
-
-
 def moment(phi: StepFunction, r: float) -> float:
     """Integral of ``phi**r`` over X as an exact finite sum.
 
     ``r == 1`` is the mean value f; ``r == p`` is the p-th moment F used by
     the two-variable extremal problem.
     """
-    if r <= 0:
-        raise DomainError(f"moment order must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"moment order must be positive and finite, got {r}")
     v = phi.leaf_values
     if r == 1.0:
         powered = v

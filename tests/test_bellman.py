@@ -11,7 +11,6 @@ from treemax import (
     DomainError,
     InfeasibleMomentsError,
     bellman_value,
-    envelope_bound,
     h_p,
     maximal_function,
     minimize_envelope,
@@ -143,25 +142,29 @@ class TestBellmanValue:
 
 class TestEnvelope:
     def test_hand_value(self):
-        assert envelope_bound(2.0, 1.0, 2.0, 1.0) == 6.0
+        # p=2, (f, F) = (1, 4/3): the envelope (beta+1)((beta+1)F - f**2)/beta
+        # is 4/3 beta + 5/3 + 1/(3 beta), least at beta = 1/2 with value 3
+        beta_opt, value = minimize_envelope(2.0, 1.0, 4.0 / 3.0)
+        assert beta_opt == pytest.approx(0.5, abs=1e-6)
+        assert value == pytest.approx(3.0, rel=1e-12)
 
     def test_calculus_oracle_minimum(self):
-        # for p=2 the stationarity condition is beta**2 = (F - f**2)/F;
-        # at (f, F) = (1, 2) that gives beta = 1/sqrt(2) and value 3+2*sqrt(2)
-        beta_star = 1.0 / math.sqrt(2.0)
-        assert envelope_bound(2.0, 1.0, 2.0, beta_star) == pytest.approx(
-            3.0 + 2.0 * math.sqrt(2.0), abs=1e-12
-        )
-        eps = 1e-4
-        center = envelope_bound(2.0, 1.0, 2.0, beta_star)
-        assert envelope_bound(2.0, 1.0, 2.0, beta_star + eps) > center
-        assert envelope_bound(2.0, 1.0, 2.0, beta_star - eps) > center
+        # for p=2 the stationarity condition is beta**2 = (F - f**2)/F, where
+        # the envelope is 2F - f**2 + 2 sqrt(F (F - f**2)); at (f, F) = (1, 2)
+        # that gives beta = 1/sqrt(2) and value 3+2*sqrt(2)
+        for f, big_f in [(1.0, 2.0), (0.5, 1.0), (2.0, 4.5), (1.0, 10.0)]:
+            beta_opt, value = minimize_envelope(2.0, f, big_f)
+            gap = big_f - f**2
+            assert beta_opt == pytest.approx(math.sqrt(gap / big_f), abs=1e-6)
+            assert value == pytest.approx(
+                2.0 * big_f - f**2 + 2.0 * math.sqrt(big_f * gap), rel=1e-12
+            )
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            envelope_bound(2.0, 1.0, 2.0, 0.0)
+            minimize_envelope(1.0, 1.0, 2.0)
         with pytest.raises(InfeasibleMomentsError):
-            envelope_bound(2.0, 2.0, 1.0, 1.0)
+            minimize_envelope(2.0, 2.0, 1.0)
 
     def test_minimize_golden(self):
         beta_opt, value = minimize_envelope(2.0, 1.0, 2.0)

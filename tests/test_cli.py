@@ -246,6 +246,13 @@ class TestErrorPaths:
             "verify --trials 0",
             "verify --trials -1",
             "verify --ineq 1.10 --trials 0",
+            "verify --ineq 1.10 --beta nan",
+            "sharpness --family G --p 1",
+            "sharpness --family G --p 0.5 --points 0",
+            "sharpness --family g_beta --p 1",
+            "bellman --p 2 --f 1 --F inf",
+            "symmetrize --seeds -1",
+            "symmetrize --p nan --depth 4 --g powerlaw:f=1,alpha=0.25",
         ],
     )
     def test_out_of_domain_verify_exits_one(self, capsys, tmp_path, argv):

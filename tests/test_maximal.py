@@ -1,21 +1,21 @@
-"""Maximal operator, linearization, weak-type deficit, level coarsening."""
+"""Maximal operator, linearization, weak-type and L^p bounds, level coarsening."""
 
 import numpy as np
 import pytest
 
 from treemax import (
     DomainError,
+    IneqParams,
     StepFunction,
     Tree,
     averages,
-    constant_function,
+    deficit,
     level_approximation,
     linearize,
-    lp_bound_deficit,
     maximal_function,
     moment,
-    weak_type_deficit,
 )
+from treemax.inequalities import weak_type_sides
 from treemax.maximal import reconstruct_maximal
 
 from conftest import random_step_function
@@ -23,6 +23,15 @@ from conftest import random_step_function
 
 def golden_phi():
     return StepFunction(Tree(2, 2), [4, 2, 1, 1])
+
+
+def weak_type_row(phi, lam):
+    """Both sides of the weak-type bound (1.2) at level ``lam``: the
+    battery's computation on a one-row batch."""
+    v = phi.leaf_values[None, :]
+    m = maximal_function(phi).m_phi.leaf_values[None, :]
+    lhs, rhs = weak_type_sides(v, m, np.array([lam]))
+    return float(lhs[0]), float(rhs[0])
 
 
 def brute_force_maximal(phi):
@@ -53,7 +62,7 @@ class TestAverages:
         np.testing.assert_array_equal(avg, [2.0, 3.0, 1.0, 4.0, 2.0, 1.0, 1.0])
 
     def test_constant(self):
-        phi = constant_function(Tree(3, 2), 0.7)
+        phi = StepFunction(Tree(3, 2), np.full(9, 0.7))
         np.testing.assert_allclose(averages(phi), 0.7, rtol=1e-15)
 
     def test_single_spike(self):
@@ -76,7 +85,7 @@ class TestMaximalFunction:
         np.testing.assert_array_equal(result.attaining_node, [3, 1, 0, 0])
 
     def test_constant_attains_at_root(self):
-        phi = constant_function(Tree(2, 3), 1.3)
+        phi = StepFunction(Tree(2, 3), np.full(8, 1.3))
         result = maximal_function(phi)
         np.testing.assert_allclose(result.m_phi.leaf_values, 1.3, rtol=0)
         assert set(result.attaining_node.tolist()) == {0}
@@ -117,7 +126,7 @@ class TestMaximalFunction:
     def test_idempotent_on_maximal(self):
         # M(M(phi)) >= M(phi) trivially; equality of first moments fails,
         # but the maximal function of a constant stays put
-        phi = constant_function(Tree(2, 4), 2.0)
+        phi = StepFunction(Tree(2, 4), np.full(16, 2.0))
         twice = maximal_function(maximal_function(phi).m_phi).m_phi
         np.testing.assert_array_equal(twice.leaf_values, phi.leaf_values)
 
@@ -140,7 +149,7 @@ class TestLinearize:
         }
 
     def test_constant_collapses_to_root(self):
-        lin = linearize(constant_function(Tree(2, 3), 0.8))
+        lin = linearize(StepFunction(Tree(2, 3), np.full(8, 0.8)))
         np.testing.assert_array_equal(lin.s_phi, [0])
         assert lin.a_mass == {0: 1.0}
         assert lin.star == {}
@@ -229,40 +238,48 @@ class TestLinearize:
 
     def test_reconstruction_matches_maximal_exactly(self, rng):
         phi = random_step_function(rng, arity=3, depth=4)
-        result = maximal_function(phi)
-        rebuilt = reconstruct_maximal(linearize(phi), result)
-        np.testing.assert_array_equal(rebuilt, result.m_phi.leaf_values)
+        lin = linearize(phi)
+        m_phi = lin.result.m_phi.leaf_values
+        np.testing.assert_array_equal(reconstruct_maximal(lin), m_phi)
+        np.testing.assert_array_equal(m_phi, maximal_function(phi).m_phi.leaf_values)
 
 
 class TestWeakType:
     def test_golden_level(self):
-        assert weak_type_deficit(golden_phi(), 2.5) == pytest.approx(0.1, abs=1e-15)
+        lhs, rhs = weak_type_row(golden_phi(), 2.5)
+        assert lhs == 0.5
+        assert rhs - lhs == pytest.approx(0.1, abs=1e-15)
 
     def test_empty_level_set(self):
-        phi = constant_function(Tree(2, 3), 1.0)
-        assert weak_type_deficit(phi, 2.0) == 0.0
+        phi = StepFunction(Tree(2, 3), np.full(8, 1.0))
+        assert weak_type_row(phi, 2.0) == (0.0, 0.0)
 
     def test_single_spike(self):
         phi = StepFunction(Tree(2, 2), [1, 0, 0, 0])
-        assert weak_type_deficit(phi, 0.3) == pytest.approx(1 / 3, abs=1e-15)
+        lhs, rhs = weak_type_row(phi, 0.3)
+        assert rhs - lhs == pytest.approx(1 / 3, abs=1e-15)
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(DomainError):
-            weak_type_deficit(golden_phi(), 0.0)
+            weak_type_row(golden_phi(), 0.0)
 
     def test_nonnegative_on_random_inputs(self, rng):
         for _ in range(50):
             phi = random_step_function(rng, arity=2, depth=6)
             lam = float(rng.uniform(0.05, 3.0))
-            assert weak_type_deficit(phi, lam) >= -1e-12
+            lhs, rhs = weak_type_row(phi, lam)
+            assert rhs - lhs >= -1e-12
 
 
 class TestLpBound:
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_crude_bound_holds(self, rng, p):
+        # Doob: J0 = integral of (M phi)**p <= (p/(p-1))**p F
         for _ in range(20):
             phi = random_step_function(rng, arity=2, depth=6)
-            assert lp_bound_deficit(phi, p) >= -1e-9 * max(1.0, moment(phi, p))
+            report = deficit("1.7", phi, IneqParams(p=p))
+            slack = (p / (p - 1)) ** p * report.F - report.J0
+            assert slack >= -1e-9 * max(1.0, report.F)
 
 
 class TestLevelApproximation:

@@ -7,11 +7,13 @@ import pytest
 
 from treemax import (
     DomainError,
+    IneqParams,
     InfeasibleMomentsError,
     PowerLawFunction,
     StepFunction,
     Tree,
     bellman_value,
+    deficit,
     discretize,
     hardy_power,
     maximal_function,
@@ -19,6 +21,7 @@ from treemax import (
     orbit_sample_max,
     run_battery,
 )
+from treemax import sweeps
 from treemax.sweeps import (
     batch_maximal_leaves,
     cell_seed,
@@ -82,6 +85,32 @@ class TestEvaluateCell:
             2.0, 1.0, 1.0, trials=50, seed=1, shapes=[(2, 3)]
         )
         assert out.f.shape == (50,)
+
+    @pytest.mark.parametrize("arity,depth", [(2, 5), (3, 3)])
+    @pytest.mark.parametrize("q_kind", ["one", "mid", "p"])
+    def test_rows_match_single_function_deficit(self, monkeypatch, arity, depth, q_kind):
+        # deficit() is the one-row case of the battery: it reproduces every
+        # (1.7)/(1.8)/(1.9) row bit for bit from the leaf values the cell drew
+        p, beta = 2.5, 0.4
+        q = {"one": 1.0, "mid": (1.0 + p) / 2.0, "p": p}[q_kind]
+        draws = []
+
+        def recording(rng, rows, cols):
+            values = mixture_values(rng, rows, cols)
+            draws.append(values.copy())
+            return values
+
+        monkeypatch.setattr(sweeps, "mixture_values", recording)
+        keys = ("1.7", "1.8", "1.9")
+        out = evaluate_cell(p, q, beta, 40, 5, shapes=[(arity, depth)], inequalities=keys)
+        (values,) = draws  # one shape, one batch: row i is trial i
+        tree = Tree(arity, depth)
+        for trial, row in enumerate(values):
+            phi = StepFunction(tree, row)
+            for key in keys:
+                report = deficit(key, phi, IneqParams(p, q, beta))
+                assert report.lhs == out.lhs[key][trial], (key, trial)
+                assert report.rhs == out.rhs[key][trial], (key, trial)
 
 
 class TestRunBattery:

@@ -11,7 +11,6 @@ from treemax import (
     SizeError,
     StepFunction,
     Tree,
-    constant_function,
     load_step_function,
     moment,
     save_step_function,
@@ -124,13 +123,14 @@ class TestMoment:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_constant_function(self, p):
-        phi = constant_function(Tree(3, 3), 1.7)
+        phi = StepFunction(Tree(3, 3), np.full(27, 1.7))
         assert moment(phi, p) == pytest.approx(1.7**p, rel=1e-14)
 
     def test_order_must_be_positive(self):
-        phi = constant_function(Tree(2, 1), 1.0)
-        with pytest.raises(DomainError):
-            moment(phi, 0.0)
+        phi = StepFunction(Tree(2, 1), np.full(2, 1.0))
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                moment(phi, bad)
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -159,7 +159,7 @@ class TestMoment:
     def test_power_mean_strict_unless_constant(self, rng):
         phi = random_step_function(rng, depth=5)
         assert moment(phi, 1) ** 2 < moment(phi, 2)
-        const = constant_function(phi.tree, 0.9)
+        const = StepFunction(phi.tree, np.full(phi.tree.leaf_count, 0.9))
         assert moment(const, 1) ** 2 == pytest.approx(moment(const, 2), rel=1e-14)
 
 
