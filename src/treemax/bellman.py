@@ -20,6 +20,9 @@ P_MAX = 64.0
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
 _BETA_TOL = 1e-10  # bracket width at which the envelope search stops
+# Step cap of every bracket search: brackets that collapse or reach
+# _BETA_TOL do so within ~123 steps; the cap ends those that cannot.
+_MAX_STEPS = 200
 
 
 def _check_p(p: float) -> float:
@@ -27,6 +30,21 @@ def _check_p(p: float) -> float:
     if not 1.0 < p <= P_MAX:
         raise DomainError(f"p must lie in (1, {P_MAX:g}], got {p}")
     return p
+
+
+def _bisect(go_right, lo: float, hi: float) -> float:
+    """Midpoint of ``[lo, hi]`` after halving it toward the half that
+    ``go_right(mid)`` selects, until the bracket collapses to adjacent floats
+    (or ``_MAX_STEPS`` halvings pass)."""
+    for _ in range(_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if go_right(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def h_p(z: float, p: float) -> float:
@@ -54,16 +72,8 @@ def omega_p(x: float, p: float) -> float:
         return 1.0
     if x == 0.0:
         return z_max
-    lo, hi = 1.0, z_max  # h(lo) = 1 >= x >= 0 ~ h(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if h_p(mid, p) >= x:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # h(1) = 1 >= x >= 0 ~ h(z_max)
+    return _bisect(lambda z: h_p(z, p) >= x, 1.0, z_max)
 
 
 @dataclass(frozen=True)
@@ -84,9 +94,9 @@ class BellmanPoint:
     K: float
 
 
-def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:
-    """Evaluate ``F * omega_p(f**p/F)**p`` with its extremal parameters."""
-    p = _check_p(p)
+def _check_moments(p: float, f: float, big_f: float) -> float:
+    """The ratio ``f**p / F`` of a feasible moment pair (at most 1 up to
+    rounding); raises on non-positive, non-finite or infeasible moments."""
     if not (0.0 < f < math.inf and 0.0 < big_f < math.inf):
         raise DomainError(f"moments f and F must be positive and finite, got f={f}, F={big_f}")
     ratio = f**p / big_f
@@ -94,10 +104,17 @@ def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:
         raise InfeasibleMomentsError(
             f"f**p = {f**p} exceeds F = {big_f}; no nonnegative function has these moments"
         )
-    alpha = omega_p(min(ratio, 1.0), p)
-    return BellmanPoint(
-        p=p, f=f, F=big_f, value=big_f * alpha**p, alpha=alpha, K=f / alpha
-    )
+    return ratio
+
+
+def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:
+    """Evaluate ``F * omega_p(f**p/F)**p`` with its extremal parameters."""
+    p = _check_p(p)
+    alpha = omega_p(min(_check_moments(p, f, big_f), 1.0), p)
+    value = big_f * alpha**p
+    if not math.isfinite(value):
+        raise DomainError(f"the bound F*omega**p overflows at p={p}, f={f}, F={big_f}")
+    return BellmanPoint(p=p, f=f, F=big_f, value=value, alpha=alpha, K=f / alpha)
 
 
 def _envelope(p: float, f: float, big_f: float, beta: float) -> float:
@@ -113,8 +130,7 @@ def minimize_envelope(p: float, f: float, big_f: float) -> tuple[float, float]:
     limit value f**p at beta -> 0.
     """
     p = _check_p(p)
-    if f <= 0 or big_f <= 0 or f**p > big_f * (1.0 + 1e-12):
-        raise InfeasibleMomentsError(f"invalid moments f={f}, F={big_f}")
+    _check_moments(p, f, big_f)
     if big_f <= f**p:
         return 0.0, f**p
 
@@ -123,7 +139,9 @@ def minimize_envelope(p: float, f: float, big_f: float) -> tuple[float, float]:
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = envelope(x1), envelope(x2)
-    while hi - lo > _BETA_TOL:
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= _BETA_TOL:
+            break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INVPHI * (hi - lo)

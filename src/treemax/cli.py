@@ -5,8 +5,8 @@ run can be replayed exactly; floats are printed with 17 significant digits
 and row/key order is fixed, making equal-seed runs byte-identical.
 
 Exit status: 0 on success, 1 on validation errors (bad flags, unreadable
-input, out-of-domain parameters), 2 when a mathematically guaranteed
-invariant is violated beyond rounding slack.
+input, out-of-domain parameters, results that overflow), 2 when a
+mathematically guaranteed invariant is violated beyond rounding slack.
 """
 from __future__ import annotations
 
@@ -89,15 +89,6 @@ def to_json(obj, indent: int = 0) -> str:
     return _scalar_json(obj)
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    text = to_json(payload) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 @contextlib.contextmanager
 def _replacing(path: str):
     """A sibling file that replaces ``path`` only if the block completes."""
@@ -110,6 +101,19 @@ def _replacing(path: str):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def _sink(path: str | None, default=None):
+    """:func:`_replacing` for ``path``, or a context yielding ``default``
+    when no path is given."""
+    return _replacing(path) if path else contextlib.nullcontext(default)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` and a newline to ``path``, or to stdout when no path
+    is given."""
+    with _sink(path, sys.stdout) as fh:
+        fh.write(text + "\n")
 
 
 def parse_profile(spec: str):
@@ -169,7 +173,7 @@ def cmd_maximal(args) -> int:
         },
         "reconstruction_exact": exact,
     }
-    _emit(payload, args.output)
+    _emit(to_json(payload), args.output)
     return 0 if exact else 2
 
 
@@ -184,7 +188,7 @@ def cmd_bellman(args) -> int:
         "beta_opt": beta_opt,
         "min_value": min_value,
     }
-    _emit(payload, args.output)
+    _emit(to_json(payload), args.output)
     return 0
 
 
@@ -222,9 +226,6 @@ def _verify_line_profiles(args, config) -> int:
         rhs={"1.10": column("rhs")},
         deficit={"1.10": column("deficit")},
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            write_csv(fh, (f"config: {json.dumps(config)}",), [outcome], ("1.10",))
     worst = int(np.argmin(outcome.deficit["1.10"]))
     summary = {
         "config": config,
@@ -232,7 +233,10 @@ def _verify_line_profiles(args, config) -> int:
         "argmin": {"ineq": "1.10", "trial": worst},
         "violations": 0,
     }
-    _emit(summary, args.summary)
+    with _sink(args.output) as sink:
+        if sink is not None:
+            write_csv(sink, (f"config: {json.dumps(config)}",), [outcome], ("1.10",))
+        _emit(to_json(summary), args.summary)
     return 0
 
 
@@ -261,7 +265,7 @@ def cmd_verify(args) -> int:
         inequalities = (args.ineq,)
         shapes = [(args.arity, args.depth)]
 
-    with _replacing(args.output) if args.output else contextlib.nullcontext() as sink:
+    with _sink(args.output) as sink:
         summary = run_battery(
             base_seed=args.seed,
             trials_per_cell=args.trials,
@@ -271,8 +275,7 @@ def cmd_verify(args) -> int:
             header_lines=(f"config: {json.dumps(config)}",),
             shapes=shapes,
         )
-    payload = {"config": config, **summary}
-    _emit(payload, args.summary)
+        _emit(to_json({"config": config, **summary}), args.summary)
     return 0 if summary["violations"] == 0 else 2
 
 
@@ -288,6 +291,8 @@ def cmd_sharpness(args) -> int:
         "points": args.points,
     }
     params = IneqParams(p=args.p, q=args.q, beta=args.beta, f=args.f)
+    if (args.family == "G" or args.grid is None) and args.points < 1:
+        raise DomainError(f"points must be at least 1, got {args.points}")
     lines = [f"# config: {json.dumps(config)}"]
     if args.family == "G":
         lines.append("alpha,G,limit_q_over_p_minus_1")
@@ -298,7 +303,7 @@ def cmd_sharpness(args) -> int:
                 f"{alpha:.17g},{sharpness_G(alpha, args.p, args.q):.17g},{limit:.17g}"
             )
     else:
-        if args.grid:
+        if args.grid is not None:
             grid = [float(s) for s in args.grid.split(",")]
         else:
             upper = 1.0 / args.p if args.family == "g_alpha" else 1.0 / (args.p - 1.0)
@@ -311,12 +316,7 @@ def cmd_sharpness(args) -> int:
                 f"{pt.family},{pt.grid_value:.17g},{pt.alpha:.17g},{int(pt.admissible)},"
                 f"{deficit:.17g},{pt.residual:.17g},{pt.residual_target:.17g},{pt.reason}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -340,7 +340,7 @@ def cmd_oracle(args) -> int:
         "ratio_requested": best / info["bound_requested"],
         "ratio_achieved": best / info["bound_achieved"],
     }
-    _emit(payload, args.output)
+    _emit(to_json(payload), args.output)
     if best > info["bound_achieved"] * (1.0 + 1e-9):
         return 2  # would contradict the closed-form upper bound
     return 0
@@ -386,7 +386,7 @@ def cmd_symmetrize(args) -> int:
         "ratio": sampled / target,
         "rearrangement_roundtrip_exact": roundtrip,
     }
-    _emit(payload, args.output)
+    _emit(to_json(payload), args.output)
     return 0 if roundtrip and sampled <= target_cells * (1.0 + 1e-9) else 2
 
 
@@ -486,6 +486,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: floating-point overflow: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bellman import _check_p
+from .bellman import _bisect, _check_p
 from .errors import DomainError, InvariantViolation
 from .maximal import batch_maximal_leaves
 from .rearrange import (
@@ -103,16 +103,7 @@ def _locate_t_beta(p: float, q: float, coupling: float, beta: float) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise InvariantViolation("failed to bracket the envelope root")
-    lo = t0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if root_function(mid, p, q, coupling) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: root_function(t, p, q, coupling) < 0.0, t0, hi)
 
 
 def constants(params: IneqParams) -> Constants:
@@ -270,13 +261,21 @@ def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
 # ---------------------------------------------------------------------------
 
 
+def _alpha_admissible(alpha: float, p: float) -> bool:
+    """Power-law exponents whose p-th power is integrable: (0, 1/p)."""
+    return 0.0 < alpha < 1.0 / p
+
+
+def _beta_admissible(beta: float, p: float) -> bool:
+    """Parameters of the matched profiles: (0, 1/(p-1)], up to rounding."""
+    return 0.0 < beta <= 1.0 / (p - 1.0) + 1e-12
+
+
 def sharpness_G(alpha: float, p: float, q: float) -> float:
     """Normalized deficit rate ``((p/(p-1))**q (1-alpha)**q - 1) / (1 - alpha p)``
     of the power-law family; tends to ``q/(p-1)`` as ``alpha -> 1/p``."""
-    _check_p(p)
-    if q != 0.0 and not 1.0 <= q <= p:
-        raise DomainError(f"q must lie in [1, p], got {q}")
-    if not 0.0 < alpha < 1.0 / p:
+    IneqParams(p, q)
+    if not _alpha_admissible(alpha, p):
         raise DomainError(f"alpha must lie in (0, 1/p), got {alpha}")
     return ((p / (p - 1.0)) ** q * (1.0 - alpha) ** q - 1.0) / (1.0 - alpha * p)
 
@@ -304,7 +303,7 @@ def beta_family_residual(p: float, q: float, beta: float, f: float) -> tuple[flo
     product form. Interior betas use the honest difference of closed forms.
     """
     _check_p(p)
-    if not 0.0 < beta <= 1.0 / (p - 1.0) + 1e-12:
+    if not _beta_admissible(beta, p):
         raise DomainError(f"beta must lie in (0, 1/(p-1)], got {beta}")
     alpha = beta / (beta + 1.0)
     c = f / (beta + 1.0)  # = f * (1 - alpha)
@@ -338,7 +337,7 @@ def extremizer_sweep(
     if family == "g_alpha":
         for alpha in grid:
             alpha = float(alpha)
-            if not 0.0 < alpha < 1.0 / p:
+            if not _alpha_admissible(alpha, p):
                 points.append(
                     SweepPoint(family, alpha, alpha, False, "alpha outside (0, 1/p)")
                 )
@@ -349,18 +348,12 @@ def extremizer_sweep(
     elif family == "g_beta":
         for beta in grid:
             beta = float(beta)
-            if not 0.0 < beta <= 1.0 / (p - 1.0) + 1e-12:
+            alpha = beta / (beta + 1.0) if beta != -1.0 else math.nan
+            if not _beta_admissible(beta, p):
                 points.append(
-                    SweepPoint(
-                        family,
-                        beta,
-                        beta / (beta + 1.0),
-                        False,
-                        "beta outside (0, 1/(p-1)]",
-                    )
+                    SweepPoint(family, beta, alpha, False, "beta outside (0, 1/(p-1)]")
                 )
                 continue
-            alpha = beta / (beta + 1.0)
             residual, target = beta_family_residual(p, q, beta, f)
             report = None
             if alpha * p < 1.0 - 1e-12:

@@ -71,29 +71,6 @@ class LineStepFunction:
     def is_non_increasing(self) -> bool:
         return bool(np.all(np.diff(self.values) <= 0))
 
-    def __call__(self, t):
-        """Left-continuous evaluation on (0, 1]."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.breakpoints, t, side="left") - 1
-        idx = np.clip(idx, 0, self.piece_count - 1)
-        return self.values[idx]
-
-    def running_average(self, t):
-        """``(1/t) * integral of g over (0, t]``, exact per piece."""
-        t = np.asarray(t, dtype=np.float64)
-        prefix = self.prefix_integrals()
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, t, side="left") - 1,
-            0,
-            self.piece_count - 1,
-        )
-        partial = prefix[idx] + self.values[idx] * (t - self.breakpoints[idx])
-        return partial / t
-
-    def level_measure(self, lam: float) -> float:
-        """Lebesgue measure of ``{g > lam}``; exact finite sum."""
-        return float(self.widths()[self.values > lam].sum())
-
 
 @dataclass(frozen=True)
 class PowerLawFunction:
@@ -137,22 +114,6 @@ class PowerLawFunction:
                 f"t**(-{self.a * r:g}) is not integrable near 0"
             )
         return self.c**r / (1.0 - self.a * r)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return self.c * t ** (-self.a)
-
-    def running_average(self, t):
-        return self(t) / (1.0 - self.a)
-
-    def level_measure(self, lam: float) -> float:
-        if lam <= 0:
-            return 1.0
-        if self.a == 0.0:
-            return 1.0 if self.c > lam else 0.0
-        if lam < self.c:
-            return 1.0  # even the value at t = 1 exceeds lam
-        return (self.c / lam) ** (1.0 / self.a)
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +247,15 @@ def hardy_moment(g, p: float, q: float) -> float:
     for i in range(g.piece_count):
         vi = v[i]
         offset = prefix[i] - vi * t[i]  # running avg = vi + offset/t on the piece
-
-        if q == 0.0:
-            fn = lambda x: (vi + offset / x) ** p
-        elif vi == 0.0:
+        weight = vi**q  # 1.0 for the pure power q = 0
+        if weight == 0.0:
             continue  # g**q kills the piece
-        else:
-            weight = vi**q
-            fn = lambda x: weight * (vi + offset / x) ** (p - q)
         if offset == 0.0:
             # running average equals vi on the whole piece: closed form
-            total += (vi**p if q == 0.0 else vi**q * vi ** (p - q)) * (t[i + 1] - t[i])
-            continue
-        total += _adaptive_gauss(fn, t[i], t[i + 1], scale)
+            total += weight * vi ** (p - q) * (t[i + 1] - t[i])
+        else:
+            fn = lambda x: weight * (vi + offset / x) ** (p - q)
+            total += _adaptive_gauss(fn, t[i], t[i + 1], scale)
     return total
 
 

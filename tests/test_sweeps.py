@@ -114,16 +114,17 @@ class TestEvaluateCell:
 
 
 class TestRunBattery:
-    def test_summary_and_determinism(self):
+    def test_summary_and_determinism(self, monkeypatch):
         cells = [(2.0, 1.0, 1.0), (3.0, 2.0, 0.5)]
         sink_a, sink_b = io.StringIO(), io.StringIO()
         sum_a = run_battery(
             base_seed=5, trials_per_cell=100, cells=cells, csv_sink=sink_a,
             header_lines=("config: test",),
         )
+        monkeypatch.setenv("MAXTREE_THREADS", "1")
         sum_b = run_battery(
             base_seed=5, trials_per_cell=100, cells=cells, csv_sink=sink_b,
-            header_lines=("config: test",), threads=1,
+            header_lines=("config: test",),
         )
         assert sink_a.getvalue() == sink_b.getvalue()
         assert sum_a == sum_b
@@ -171,10 +172,11 @@ class TestOracle:
             assert best <= info["bound_achieved"] * (1 + 1e-9)
             assert best <= info["bound_requested"] * (1 + 1e-9)
 
-    def test_sorted_arrangement_included(self):
+    def test_sorted_arrangement_included(self, monkeypatch):
         # the search can never fall below the sorted arrangement it starts at
         p, f, big_f, depth = 2.0, 1.0, 2.0, 8
-        best, _ = oracle_sup(p, f, big_f, depth=depth, budget=0, seed=0, swap_rounds=0)
+        monkeypatch.setattr(sweeps, "SWAP_ROUNDS", 0)
+        best, _ = oracle_sup(p, f, big_f, depth=depth, budget=0, seed=0)
         tree = Tree(2, depth)
         g = PowerLawFunction.self_similar(f, bellman_value(p, f, big_f).alpha)
         sorted_value = (
@@ -192,8 +194,8 @@ class TestOracle:
         assert info["bound_achieved"] <= info["bound_requested"]
 
     def test_deterministic(self):
-        a = oracle_sup(2.0, 1.0, 2.0, depth=7, budget=40, seed=9, swap_rounds=50)
-        b = oracle_sup(2.0, 1.0, 2.0, depth=7, budget=40, seed=9, swap_rounds=50)
+        a = oracle_sup(2.0, 1.0, 2.0, depth=7, budget=40, seed=9)
+        b = oracle_sup(2.0, 1.0, 2.0, depth=7, budget=40, seed=9)
         assert a[0] == b[0]
         assert a[1] == b[1]
 
@@ -202,8 +204,7 @@ class TestOracle:
         # search recovers at least 70% of the bound at the *achieved*
         # moments (the discretized profile cannot reach the bound at the
         # requested moments; see the decisions ledger)
-        best, info = oracle_sup(2.0, 1.0, 2.0, depth=12, budget=100, seed=2024,
-                                swap_rounds=100)
+        best, info = oracle_sup(2.0, 1.0, 2.0, depth=12, budget=100, seed=2024)
         assert best >= 0.70 * info["bound_achieved"]
         assert best <= info["bound_achieved"] * (1 + 1e-9)
 

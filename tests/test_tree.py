@@ -132,6 +132,12 @@ class TestMoment:
             with pytest.raises(DomainError):
                 moment(phi, bad)
 
+    def test_overflow_rejected(self):
+        phi = StepFunction(Tree(2, 1), [1e10, 1.0])
+        assert moment(phi, 1) == (1e10 + 1.0) / 2
+        with pytest.raises(DomainError):
+            moment(phi, 64)
+
     @settings(deadline=None, max_examples=50)
     @given(
         scale=st.floats(min_value=1e-3, max_value=1e3),
