@@ -67,25 +67,45 @@ def _scalar_json(obj) -> str:
     return json.dumps(str(obj))
 
 
+def _sequence_json(obj) -> str:
+    """A list, tuple or array of scalars. Integers and finite floats are
+    formatted in one pass; anything else goes value by value."""
+    if isinstance(obj, np.ndarray):
+        kind = obj.dtype.kind
+        obj = obj.tolist()
+    else:
+        types = set(map(type, obj))
+        kind = "f" if types <= {float} else "i" if types == {int} else "O"
+    if kind in "iu":
+        return "[" + ", ".join(map(str, obj)) + "]"
+    if kind == "f" and obj:
+        text = ("%.17g, " * len(obj))[:-2] % tuple(obj)
+        if "nan" not in text and "inf" not in text:
+            return "[" + text + "]"
+    return "[" + ", ".join(map(_scalar_json, obj)) + "]"
+
+
+def _key_json(key) -> str:
+    key = str(key)
+    return f'"{key}"' if key.isascii() and key.isdigit() else json.dumps(key)
+
+
 def to_json(obj, indent: int = 0) -> str:
     """JSON with insertion-ordered keys and 17-significant-digit floats.
 
-    Lists, tuples and arrays hold scalars only in every payload, so a
-    sequence is one pass of the scalar formatter.
+    Lists, tuples and arrays hold scalars only in every payload.
     """
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         pad = " " * indent
         items = [
-            f'{pad}  {json.dumps(str(k))}: {to_json(v, indent + 2)}'
+            f'{pad}  {_key_json(k)}: {to_json(v, indent + 2)}'
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(map(_scalar_json, obj)) + "]"
+    if isinstance(obj, (np.ndarray, list, tuple)):
+        return _sequence_json(obj)
     return _scalar_json(obj)
 
 

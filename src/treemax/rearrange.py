@@ -16,6 +16,7 @@ from .errors import DivergentIntegralError, DomainError, ShapeError
 from .tree import StepFunction, Tree
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
+_REL_TOL = 1e-10  # a bisection that moves a panel by at most this times the scale stops
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,7 @@ def _gauss_panel(fn, lo: float, hi: float) -> float:
     return half * float(np.dot(_GAUSS_W, fn(mid + half * _GAUSS_X)))
 
 
-def _adaptive_gauss(fn, lo, hi, scale, rel_tol=1e-10, max_splits=24) -> float:
+def _adaptive_gauss(fn, lo, hi, scale, rel_tol=_REL_TOL, max_splits=24) -> float:
     """32-node Gauss panels, bisected until the refinement stops moving the
     panel value relative to ``scale``."""
     whole = _gauss_panel(fn, lo, hi)
@@ -213,6 +214,29 @@ def _adaptive_gauss(fn, lo, hi, scale, rel_tol=1e-10, max_splits=24) -> float:
     return total
 
 
+def _gauss_panels(lo, hi, v, offset, weight, r) -> np.ndarray:
+    """:func:`_gauss_panel` of ``weight * (v + offset/x)**r`` on every row's
+    ``[lo, hi]`` at once, bit for bit."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _GAUSS_X
+    y = weight[:, None] * (v[:, None] + offset[:, None] / x) ** r
+    # one dot per row: a matrix-vector product sums in another order
+    return half * np.fromiter(map(_GAUSS_W.dot, y), np.float64, len(y))
+
+
+def _first_splits(lo, hi, v, offset, weight, r, scale) -> list:
+    """The first bisection of :func:`_adaptive_gauss` for many pieces at once:
+    ``left + right`` where it is accepted, None where the piece must be
+    refined."""
+    mid = 0.5 * (lo + hi)
+    whole = _gauss_panels(lo, hi, v, offset, weight, r)
+    left = _gauss_panels(lo, mid, v, offset, weight, r)
+    split = left + _gauss_panels(mid, hi, v, offset, weight, r)
+    accepted = np.abs(split - whole) <= _REL_TOL * scale
+    return [value if ok else None for value, ok in zip(split, accepted)]
+
+
 def _check_hardy_exponents(p: float, q: float) -> tuple[float, float]:
     p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
     if q != 0.0 and not 1.0 <= q <= p:
@@ -225,7 +249,8 @@ def hardy_moment(g, p: float, q: float) -> float:
 
     Power laws use the closed form ``c**p * (1-a)**(q-p) / (1 - a*p)``;
     step profiles are integrated piece by piece with adaptive Gauss panels
-    (the running average restricted to one piece is smooth).
+    (the running average restricted to one piece is smooth), the first
+    bisection of every piece taken in one batch.
     """
     p, q = _check_hardy_exponents(p, q)
     if isinstance(g, PowerLawFunction):
@@ -241,21 +266,27 @@ def hardy_moment(g, p: float, q: float) -> float:
 
     t = g.breakpoints
     v = g.values
-    prefix = g.prefix_integrals()
+    r = p - q
     scale = max(abs(g.integral()) ** p, 1.0)
+    offset = g.prefix_integrals()[:-1] - v * t[:-1]  # running avg = v + offset/t on a piece
+    # scalar powers, one per piece: the array power may round one ulp apart
+    weight = np.array([vi**q for vi in v])  # 1.0 for the pure power q = 0
+    smooth = np.flatnonzero((weight != 0.0) & (offset != 0.0))
+    first = iter(_first_splits(t[smooth], t[smooth + 1], v[smooth], offset[smooth],
+                               weight[smooth], r, scale))
     total = 0.0
     for i in range(g.piece_count):
-        vi = v[i]
-        offset = prefix[i] - vi * t[i]  # running avg = vi + offset/t on the piece
-        weight = vi**q  # 1.0 for the pure power q = 0
-        if weight == 0.0:
+        if weight[i] == 0.0:
             continue  # g**q kills the piece
-        if offset == 0.0:
-            # running average equals vi on the whole piece: closed form
-            total += weight * vi ** (p - q) * (t[i + 1] - t[i])
-        else:
-            fn = lambda x: weight * (vi + offset / x) ** (p - q)
-            total += _adaptive_gauss(fn, t[i], t[i + 1], scale)
+        if offset[i] == 0.0:
+            # running average equals v[i] on the whole piece: closed form
+            total += weight[i] * v[i] ** r * (t[i + 1] - t[i])
+            continue
+        value = next(first)
+        if value is None:  # the first bisection moved the panel too much
+            w, vi, c = weight[i], v[i], offset[i]
+            value = _adaptive_gauss(lambda x: w * (vi + c / x) ** r, t[i], t[i + 1], scale)
+        total += value
     return total
 
 

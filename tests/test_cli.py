@@ -42,6 +42,27 @@ class TestSerialization:
             '{\n  "a": {\n    "b": [1, 2.5],\n    "c": {}\n  },\n  "d": [1, NaN]\n}'
         )
 
+    def test_sequences_format_like_their_values(self, rng):
+        """A sequence formatted in one pass reads exactly as its values
+        formatted one by one."""
+        floats = np.concatenate((
+            rng.normal(0.0, 1.0, 50), 10.0 ** rng.uniform(-320, 308, 50),
+            [0.0, -0.0, 1.0, 5e-324, -1.7976931348623157e308, 1e16, 123456789.0],
+        ))
+        sequences = [
+            floats, floats.tolist(), tuple(floats.tolist()), floats[:50].astype(np.float32),
+            np.append(floats, np.nan), np.append(floats, -np.inf), floats.tolist() + [np.inf],
+            rng.integers(-10**12, 10**12, 40), rng.integers(0, 200, 40).astype(np.uint8),
+            [3, -4, 0], [1, 2.5], [True, 1], np.array([True, False]), [np.float64(0.1), 0.2],
+        ]
+        for values in sequences:
+            expected = ", ".join(to_json(x) for x in list(values))
+            assert to_json(values) == f"[{expected}]"
+        keys = {"12": 1, "-3": 2, "²": 3, 'a"b': 4, 7: 5}
+        assert to_json(keys) == (
+            '{\n  "12": 1,\n  "-3": 2,\n  "\\u00b2": 3,\n  "a\\"b": 4,\n  "7": 5\n}'
+        )
+
     def test_key_order_preserved(self):
         assert to_json({"b": 1, "a": 2}).index('"b"') < to_json({"b": 1, "a": 2}).index('"a"')
 

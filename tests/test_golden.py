@@ -32,6 +32,22 @@ CASES = {
         " --output rows.csv --summary summary.json",
         "20d8e8d360acba84d4a3ea6e56b4d5d674e4c195ace6e890044731dfe43b74a2",
     ),
+    # arity 9 averages its levels through numpy's mean, arity 3 through the
+    # explicit child sum; p=5, q=3 is where an array power ``v**q`` would
+    # round one ulp away from the per-piece scalar ``vi**q``
+    "verify-1.2-arity-9": (
+        "verify --ineq 1.2 --arity 9 --depth 2 --trials 30 --seed 2",
+        "808c7146d8e479c1638274713f84cb54672bf77e7442e41982a2b1059608f369",
+    ),
+    "verify-1.9-arity-3": (
+        "verify --ineq 1.9 --p 3 --q 2 --arity 3 --depth 7 --trials 20 --seed 6",
+        "0216ccc804f6c33b909e5d87cecf751147f1b38e9aef0c50e6b3d996e1ed9383",
+    ),
+    "verify-1.10-generic-q": (
+        "verify --ineq 1.10 --p 5 --q 3 --beta 0.2 --trials 12 --seed 4"
+        " --output rows.csv --summary summary.json",
+        "6d7b6954f005579d63c362163896fa0106a1867934666cd6cd688728e8735617",
+    ),
     "maximal": (
         "maximal --input phi.csv --p 3",
         "29ea65446a93b6f7dd2a0e9db6aa57a9030ae8af8ea235304bbbea63b6ec830d",

@@ -16,7 +16,7 @@ from treemax import (
     moment,
 )
 from treemax.inequalities import weak_type_sides
-from treemax.maximal import reconstruct_maximal
+from treemax.maximal import _level_averages, reconstruct_maximal
 
 from conftest import random_step_function
 
@@ -74,6 +74,34 @@ class TestAverages:
     def test_root_average_is_mean(self, rng):
         phi = random_step_function(rng, arity=3, depth=4)
         assert averages(phi)[0] == pytest.approx(moment(phi, 1), rel=1e-13)
+
+    def test_level_averages_are_numpy_means_bit_for_bit(self, rng):
+        """Every level equals ``.mean(axis=2)`` of its children to the bit, for
+        each arity (explicit child sums below 8, numpy above) and row count,
+        at every depth with at most 70 000 leaf values in the batch. A numpy
+        that changes its summation order fails here."""
+        for arity in range(2, 17):
+            for rows in (1, 2, 3, 17, 257):
+                depth = 1
+                while rows * arity**depth <= 70_000:
+                    n = rows * arity**depth
+                    values = 10.0 ** rng.uniform(-300, 300, n) * rng.choice([-1.0, 1.0], n)
+                    kind = rng.random(n)
+                    values[kind < 0.1] = 0.0
+                    values[(kind >= 0.1) & (kind < 0.25)] = -0.0
+                    values[(kind >= 0.25) & (kind < 0.35)] = 1.5  # ties
+                    values = values.reshape(rows, -1)
+                    values[:, :arity] = -0.0  # one node of all -0.0 children per row
+                    expected = [values]
+                    for _ in range(depth):
+                        expected.append(expected[-1].reshape(rows, -1, arity).mean(axis=2))
+                    levels = _level_averages(values, arity, depth)
+                    assert len(levels) == depth + 1
+                    for got, want in zip(levels, reversed(expected)):
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+                            arity, rows, depth
+                        )
+                    depth += 1
 
 
 class TestMaximalFunction:

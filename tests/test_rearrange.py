@@ -22,6 +22,8 @@ from treemax import (
     moment,
     random_rearrangement,
 )
+from treemax import rearrange
+from treemax.rearrange import _adaptive_gauss
 from treemax.sweeps import orbit_sample_max
 
 from conftest import random_step_function
@@ -62,6 +64,32 @@ def step_hardy_moment_p2_q1(g: LineStepFunction) -> float:
         total += v[i] ** 2 * (hi - lo)
         if w != 0.0:
             total += v[i] * w * math.log(hi / lo)
+    return total
+
+
+def per_piece_hardy_moment(g: LineStepFunction, p: float, q: float) -> float:
+    """Reference for ``hardy_moment`` on a step profile: every piece on its
+    own in scalar arithmetic, one adaptive Gauss integration per piece whose
+    running average is not constant."""
+    if q == p:
+        return g.power_integral(p)
+    t = g.breakpoints
+    v = g.values
+    prefix = g.prefix_integrals()
+    scale = max(abs(g.integral()) ** p, 1.0)
+    total = 0.0
+    for i in range(g.piece_count):
+        vi = v[i]
+        offset = prefix[i] - vi * t[i]  # running avg = vi + offset/t on the piece
+        weight = vi**q  # 1.0 for the pure power q = 0
+        if weight == 0.0:
+            continue  # g**q kills the piece
+        if offset == 0.0:
+            # running average equals vi on the whole piece: closed form
+            total += weight * vi ** (p - q) * (t[i + 1] - t[i])
+        else:
+            fn = lambda x: weight * (vi + offset / x) ** (p - q)
+            total += _adaptive_gauss(fn, t[i], t[i + 1], scale)
     return total
 
 
@@ -236,6 +264,44 @@ class TestHardyIntegrals:
             if w != 0.0:
                 expected += v[i] ** 2 * w * math.log(t[i + 1] / t[i])
         assert hardy_moment(g, 3.0, 2.0) == pytest.approx(expected, rel=1e-9)
+
+    def test_step_profiles_match_per_piece_reference_bit_for_bit(self, rng, monkeypatch):
+        """The batched first Gauss split gives exactly the per-piece values,
+        and only pieces whose first split is rejected are refined."""
+        profiles = [
+            # zero pieces, and a second piece whose running average is its value
+            LineStepFunction([0.0, 0.25, 0.5, 0.55, 0.7, 0.9, 1.0], [2.0, 2.0, 0.0, 1.5, 0.0, 0.75]),
+            # a tall narrow first piece: the next one's running average is steep
+            LineStepFunction([0.0, 0.02, 0.3, 1.0], [6.0, 1.0, 0.5]),
+            LineStepFunction(
+                np.arange(65) / 64, np.round(np.sort(rng.exponential(1.0, 64))[::-1], 1)
+            ),
+        ]
+        # short random profiles: a one-ulp error in a piece's weight seldom
+        # survives in a long sum, so many short sums are needed to see it
+        for pieces in [8] * 30 + [40]:
+            breakpoints = np.concatenate(([0.0], np.sort(rng.random(pieces - 1)), [1.0]))
+            profiles.append(
+                LineStepFunction(breakpoints, np.sort(rng.exponential(1.0, pieces))[::-1])
+            )
+        refined = []  # (lo, hi) of every piece handed to the refinement
+
+        def counting_gauss(*args, **kwargs):
+            refined.append(args[1:3])
+            return _adaptive_gauss(*args, **kwargs)
+
+        monkeypatch.setattr(rearrange, "_adaptive_gauss", counting_gauss)
+        smooth_pieces = 0
+        for k, g in enumerate(profiles):
+            offset = g.prefix_integrals()[:-1] - g.values * g.breakpoints[:-1]
+            for p in (1.5, 2.0, 3.0, 5.0, 12.0):
+                for q in {0.0, 1.0, (1.0 + p) / 2.0} | ({3.0} if 3.0 <= p else set()):
+                    expected = np.float64(per_piece_hardy_moment(g, p, q))
+                    got = np.float64(hardy_moment(g, p, q))
+                    assert got.view(np.int64) == expected.view(np.int64), (k, p, q)
+                    if q != p:
+                        smooth_pieces += np.count_nonzero((g.values != 0.0) & (offset != 0.0))
+        assert 0 < len(refined) < smooth_pieces / 10
 
     def test_exponent_domain_errors(self):
         g = PowerLawFunction(c=1.0, a=0.4)
