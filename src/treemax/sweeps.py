@@ -32,8 +32,14 @@ BATTERY_PS = (1.5, 2.0, 3.0, 5.0)
 BATTERY_SHAPES = tuple((arity, depth) for arity in (2, 3) for depth in range(2, 11))
 BATTERY_INEQUALITIES = ("1.2", "1.7", "1.8", "1.9")
 
-# Largest matrix (rows * leaves) processed at once; keeps peak memory flat.
+# Largest matrix (rows * leaves) drawn at once. The draw sizes fix the
+# generator stream, so this constant fixes the output bytes.
 MAX_BATCH_ELEMENTS = 1 << 20
+# Largest matrix swept at once: a drawn batch is evaluated in row blocks of
+# at most this many leaf values, which keeps every temporary of the tree
+# sweep and the moment reduction cache-sized. Every per-row result is
+# independent of how rows are grouped, so this changes no output byte.
+BLOCK_ELEMENTS = 1 << 16
 
 SWAP_ROUNDS = 800  # rounds of the orbit search's ascent
 SWAP_BATCH = 96  # candidate leaf swaps per round of the orbit search's ascent
@@ -84,18 +90,31 @@ def mixture_values(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     """I.i.d. leaf values from a mixture of uniform, exponential, and a
     skewed two-point law; the heavy components stress the near-extremal
     regime where deficits get small."""
-    component = rng.integers(0, 3, size=(rows, cols))
+    # int8 before the next draw: the draw is the battery's memory peak
+    component = rng.integers(0, 3, size=(rows, cols)).astype(np.int8).reshape(-1)
     values = rng.random((rows, cols))
-    mask = component == 1
-    values[mask] = rng.exponential(1.0, int(mask.sum()))
-    mask = component == 2
-    values[mask] = np.where(rng.random(int(mask.sum())) < 0.1, 12.0, 0.05)
+    flat = values.reshape(-1)
+    at = np.flatnonzero(component == 1)
+    flat[at] = rng.exponential(1.0, at.size)
+    at = np.flatnonzero(component == 2)
+    flat[at] = np.where(rng.random(at.size) < 0.1, 12.0, 0.05)
     return values
+
+
+def _row_blocks(rows: int, leaves: int) -> list[slice]:
+    """Consecutive row slices of at most ``BLOCK_ELEMENTS`` leaf values each
+    (at least one row), so every temporary of a block's sweep stays small."""
+    step = max(1, BLOCK_ELEMENTS // leaves)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 @dataclass
 class CellOutcome:
-    """Trial-ordered raw numbers of one parameter cell."""
+    """Trial-ordered raw numbers of one parameter cell.
+
+    The (1.7), (1.8) and (1.9) left-hand sides are all ``J0``, so their
+    ``lhs`` entries are one shared array: writing into one writes into all.
+    """
 
     p: float
     q: float
@@ -122,7 +141,9 @@ def evaluate_cell(
     Each trial draws a tree shape, i.i.d. mixture leaf values, and a
     weak-type level; every deficit is an exact finite sum per trial. The
     generator is owned by the cell, so a (seed, cell) pair fully determines
-    every number here. Out-of-domain parameters, tree shapes, trial counts
+    every number here. Leaf values are drawn in batches of at most
+    ``MAX_BATCH_ELEMENTS`` and evaluated in row blocks of at most
+    ``BLOCK_ELEMENTS``. Out-of-domain parameters, tree shapes, trial counts
     or inequality keys raise before anything is drawn.
     """
     IneqParams(p, q, beta)  # validates the parameter triple
@@ -140,6 +161,7 @@ def evaluate_cell(
     )
     lam_frac = rng.uniform(0.1, 1.0, trials)
 
+    j0 = np.empty(trials)
     out = CellOutcome(
         p=p,
         q=q,
@@ -147,10 +169,11 @@ def evaluate_cell(
         seed=seed,
         f=np.empty(trials),
         F=np.empty(trials),
-        lhs={k: np.empty(trials) for k in inequalities},
+        lhs={k: np.empty(trials) if k == "1.2" else j0 for k in inequalities},
         rhs={k: np.empty(trials) for k in inequalities},
         deficit={k: np.empty(trials) for k in inequalities},
     )
+    moment_keys = [k for k in inequalities if k != "1.2"]
     for s, tree in enumerate(trees):
         rows = np.nonzero(shape_idx == s)[0]
         if rows.size == 0:
@@ -158,21 +181,20 @@ def evaluate_cell(
         leaves = tree.leaf_count
         step = max(1, MAX_BATCH_ELEMENTS // leaves)
         for start in range(0, rows.size, step):
-            idx = rows[start : start + step]
-            v = mixture_values(rng, idx.size, leaves)
-            m = batch_maximal_leaves(v, tree.arity, tree.depth)
-            f, big_f, j0, j1, jq = tree_moments(v, m, p, q)
-            fp = f**p
-            out.f[idx] = f
-            out.F[idx] = big_f
-
-            if "1.2" in out.lhs:
-                lam = lam_frac[idx] * m.max(axis=1)
-                out.lhs["1.2"][idx], out.rhs["1.2"][idx] = weak_type_sides(v, m, lam)
-            for key in ("1.7", "1.8", "1.9"):
-                if key in out.lhs:
-                    out.lhs[key][idx] = j0
+            batch = rows[start : start + step]
+            values = mixture_values(rng, batch.size, leaves)
+            for block in _row_blocks(batch.size, leaves):
+                idx, v = batch[block], values[block]
+                m = batch_maximal_leaves(v, tree.arity, tree.depth)
+                f, big_f, j0[idx], j1, jq = tree_moments(v, m, p, q)
+                out.f[idx], out.F[idx] = f, big_f
+                if "1.2" in out.lhs:
+                    lam = lam_frac[idx] * m.max(axis=1)
+                    out.lhs["1.2"][idx], out.rhs["1.2"][idx] = weak_type_sides(v, m, lam)
+                fp = f**p
+                for key in moment_keys:
                     out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
+            del values, v  # v is a view of values; hold no batch across the next draw
 
     for key in inequalities:
         out.deficit[key] = out.rhs[key] - out.lhs[key]
@@ -193,20 +215,21 @@ def cell_seed(base_seed: int, cell_index: int) -> int:
 
 
 def _format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
-    prefix = {
-        k: f"{k},{outcome.p:.17g},{outcome.q:.17g},{outcome.beta:.17g},{outcome.seed}"
+    """The CSV rows of one cell, one string per trial holding its row of
+    every inequality. Each distinct column array is formatted once (the
+    (1.7)/(1.8)/(1.9) ``lhs`` share one), then one row template is filled."""
+    columns = []
+    for k in inequalities:
+        columns += [outcome.f, outcome.F, outcome.lhs[k], outcome.rhs[k], outcome.deficit[k]]
+    text = {}
+    for a in columns:
+        if id(a) not in text:
+            text[id(a)] = ["%.17g" % x for x in a.tolist()]
+    template = "".join(
+        f"{k},{outcome.p:.17g},{outcome.q:.17g},{outcome.beta:.17g},{outcome.seed},%s,%s,%s,%s,%s\n"
         for k in inequalities
-    }
-    rows: list[str] = []
-    f, big_f = outcome.f, outcome.F
-    for i in range(f.size):
-        moments = f",{f[i]:.17g},{big_f[i]:.17g},"
-        for k in inequalities:
-            rows.append(
-                f"{prefix[k]}{moments}"
-                f"{outcome.lhs[k][i]:.17g},{outcome.rhs[k][i]:.17g},{outcome.deficit[k][i]:.17g}\n"
-            )
-    return rows
+    )
+    return [template % fields for fields in zip(*(text[id(a)] for a in columns))]
 
 
 def write_csv(sink, header_lines, outcomes, inequalities) -> None:
@@ -295,8 +318,11 @@ def run_battery(
 
 
 def _orbit_values(x: np.ndarray, arity: int, depth: int, p: float) -> np.ndarray:
-    m = batch_maximal_leaves(np.atleast_2d(x), arity, depth)
-    return (m**p).mean(axis=1)
+    x = np.atleast_2d(x)
+    out = np.empty(x.shape[0])
+    for block in _row_blocks(*x.shape):
+        out[block] = (batch_maximal_leaves(x[block], arity, depth) ** p).mean(axis=1)
+    return out
 
 
 def _orbit_best(values: np.ndarray, tree: Tree, p: float, count: int, rng):
@@ -313,11 +339,13 @@ def _orbit_best(values: np.ndarray, tree: Tree, p: float, count: int, rng):
     while remaining > 0:
         rows = min(chunk, remaining)
         remaining -= rows
-        candidates = values[np.argsort(rng.random((rows, n)), axis=1)]
-        found = _orbit_values(candidates, tree.arity, tree.depth, p)
-        i = int(np.argmax(found))
-        if found[i] > best_value:
-            best_value, best, from_random = float(found[i]), candidates[i].copy(), True
+        keys = rng.random((rows, n))
+        for block in _row_blocks(rows, n):
+            candidates = values[np.argsort(keys[block], axis=1)]
+            found = _orbit_values(candidates, tree.arity, tree.depth, p)
+            i = int(np.argmax(found))
+            if found[i] > best_value:
+                best_value, best, from_random = float(found[i]), candidates[i].copy(), True
     return best_value, best, from_random
 
 

@@ -48,6 +48,11 @@ CASES = {
         " --output rows.csv --summary summary.json",
         "6d7b6954f005579d63c362163896fa0106a1867934666cd6cd688728e8735617",
     ),
+    # 24 rows of 2**14 leaves: one drawn batch, evaluated in several row blocks
+    "verify-1.8-row-blocks": (
+        "verify --ineq 1.8 --p 3 --q 2 --beta 0.25 --arity 2 --depth 14 --trials 24 --seed 7",
+        "4ca408b3f01022de01f1c6fe1eb27c23c23629165c1efb312adeb3aef2a4a941",
+    ),
     "maximal": (
         "maximal --input phi.csv --p 3",
         "29ea65446a93b6f7dd2a0e9db6aa57a9030ae8af8ea235304bbbea63b6ec830d",

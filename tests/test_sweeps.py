@@ -23,11 +23,48 @@ from treemax import (
 )
 from treemax import sweeps
 from treemax.sweeps import (
+    CellOutcome,
+    _format_cell_rows,
+    _orbit_values,
     batch_maximal_leaves,
     cell_seed,
     evaluate_cell,
     mixture_values,
 )
+
+
+def _mixture_values_by_mask(rng, rows, cols):
+    """Reference draw: the same generator calls, scattered by boolean masks."""
+    component = rng.integers(0, 3, size=(rows, cols))
+    values = rng.random((rows, cols))
+    mask = component == 1
+    values[mask] = rng.exponential(1.0, int(mask.sum()))
+    mask = component == 2
+    values[mask] = np.where(rng.random(int(mask.sum())) < 0.1, 12.0, 0.05)
+    return values
+
+
+def _format_rows_per_row(outcome, inequalities):
+    """Reference CSV rows: one f-string per row, every float formatted there."""
+    prefix = {
+        k: f"{k},{outcome.p:.17g},{outcome.q:.17g},{outcome.beta:.17g},{outcome.seed}"
+        for k in inequalities
+    }
+    rows = []
+    f, big_f = outcome.f, outcome.F
+    for i in range(f.size):
+        moments = f",{f[i]:.17g},{big_f[i]:.17g},"
+        for k in inequalities:
+            rows.append(
+                f"{prefix[k]}{moments}"
+                f"{outcome.lhs[k][i]:.17g},{outcome.rhs[k][i]:.17g},{outcome.deficit[k][i]:.17g}\n"
+            )
+    return rows
+
+
+# one row per block, three rows per block, and the whole drawn batch at once
+BLOCK_SIZES = {"one-row": lambda leaves: 1, "three-rows": lambda leaves: 3 * leaves,
+               "whole-batch": lambda leaves: 1 << 20}
 
 
 class TestBatchEvaluation:
@@ -48,6 +85,12 @@ class TestBatchEvaluation:
         assert np.all(v >= 0) and np.all(np.isfinite(v))
         # all three components appear
         assert (v > 5.0).any() and (v == 0.05).any()
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 64), (64, 1 << 14)])
+    def test_mixture_values_match_mask_reference(self, rows, cols):
+        got = mixture_values(np.random.default_rng(rows), rows, cols)
+        expected = _mixture_values_by_mask(np.random.default_rng(rows), rows, cols)
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_mixture_deterministic(self):
         a = mixture_values(np.random.default_rng(11), 10, 32)
@@ -111,6 +154,105 @@ class TestEvaluateCell:
                 report = deficit(key, phi, IneqParams(p, q, beta))
                 assert report.lhs == out.lhs[key][trial], (key, trial)
                 assert report.rhs == out.rhs[key][trial], (key, trial)
+
+
+class TestRowBlocks:
+    """Evaluating a drawn batch in row blocks moves no bit of any result."""
+
+    @pytest.mark.parametrize("arity,depth", [(2, 5), (3, 3)])
+    @pytest.mark.parametrize("q_kind", ["one", "mid", "p"])
+    def test_evaluate_cell_independent_of_block_size(self, monkeypatch, arity, depth, q_kind):
+        p, beta = 3.0, 0.3
+        q = {"one": 1.0, "mid": (1.0 + p) / 2.0, "p": p}[q_kind]
+        outcomes = []
+        for size in BLOCK_SIZES.values():
+            monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", size(arity**depth))
+            outcomes.append(evaluate_cell(p, q, beta, 40, 8, shapes=[(arity, depth)]))
+        reference = outcomes[-1]
+        for out in outcomes[:-1]:
+            for name in ("f", "F"):
+                np.testing.assert_array_equal(
+                    getattr(out, name).view(np.int64), getattr(reference, name).view(np.int64)
+                )
+            for key in reference.deficit:
+                for part in ("lhs", "rhs", "deficit"):
+                    np.testing.assert_array_equal(
+                        getattr(out, part)[key].view(np.int64),
+                        getattr(reference, part)[key].view(np.int64),
+                        err_msg=f"{part} {key}",
+                    )
+
+    def test_evaluate_cell_several_batches_and_shapes(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "MAX_BATCH_ELEMENTS", 40 * 27)
+        shapes = [(2, 2), (3, 3), (2, 6)]
+        outcomes = []
+        for blocks in (27, 3 * 27, 1 << 20):
+            monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", blocks)
+            outcomes.append(evaluate_cell(2.0, 1.5, 1.0, 300, 3, shapes=shapes))
+        for out in outcomes[:-1]:
+            for key in out.deficit:
+                np.testing.assert_array_equal(
+                    out.deficit[key].view(np.int64), outcomes[-1].deficit[key].view(np.int64)
+                )
+
+    def test_moment_lhs_is_one_shared_array(self):
+        out = evaluate_cell(2.0, 1.5, 1.0, 20, 3, shapes=[(2, 3)])
+        assert out.lhs["1.7"] is out.lhs["1.8"] is out.lhs["1.9"]
+        assert out.lhs["1.2"] is not out.lhs["1.7"]
+
+    @pytest.mark.parametrize("arity,depth", [(2, 6), (3, 4)])
+    def test_orbit_values_independent_of_block_size(self, monkeypatch, arity, depth):
+        x = mixture_values(np.random.default_rng(arity), 10, arity**depth)
+        found = []
+        for size in BLOCK_SIZES.values():
+            monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", size(arity**depth))
+            found.append(_orbit_values(x, arity, depth, 1.5))
+        for values in found[:-1]:
+            np.testing.assert_array_equal(values.view(np.int64), found[-1].view(np.int64))
+
+    def test_orbit_search_independent_of_block_size(self, monkeypatch):
+        tree = Tree(2, 6)
+        g = PowerLawFunction.self_similar(1.0, bellman_value(2.0, 1.0, 2.0).alpha)
+        cells = discretize(g, tree.leaf_count)
+        results = []
+        for size in BLOCK_SIZES.values():
+            monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", size(tree.leaf_count))
+            results.append((
+                oracle_sup(2.0, 1.0, 2.0, depth=6, budget=50, seed=4),
+                orbit_sample_max(cells, tree, 2.0, n_seeds=40, seed=4),
+            ))
+        assert results[0] == results[1] == results[2]
+
+
+class TestCsvRows:
+    @staticmethod
+    def _outcome(inequalities, trials=6, seed=0):
+        rng = np.random.default_rng(seed)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+
+        def column():
+            values = rng.standard_normal(trials) * 10.0 ** rng.integers(-300, 300, trials)
+            values[: special.size] = rng.permutation(special)[:trials]
+            return values
+
+        return CellOutcome(
+            p=1.5, q=1.25, beta=1 / 3, seed=2**64 - 1, f=column(), F=column(),
+            lhs={k: column() for k in inequalities},
+            rhs={k: column() for k in inequalities},
+            deficit={k: column() for k in inequalities},
+        )
+
+    @pytest.mark.parametrize("keys", [("1.2",), ("1.8",), ("1.10",), ("1.2", "1.7", "1.8", "1.9")])
+    def test_matches_per_row_reference(self, keys):
+        out = self._outcome(keys, trials=8)
+        assert "".join(_format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
+
+    def test_shared_lhs_matches_per_row_reference(self):
+        keys = ("1.2", "1.7", "1.8", "1.9")
+        out = evaluate_cell(3.0, 2.0, 0.25, 30, 9, shapes=[(2, 4), (3, 2)])
+        assert "".join(_format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
+        sub = ("1.9", "1.2")
+        assert "".join(_format_cell_rows(out, sub)) == "".join(_format_rows_per_row(out, sub))
 
 
 class TestRunBattery:
