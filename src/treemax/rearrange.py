@@ -17,6 +17,8 @@ from .tree import StepFunction, Tree
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
 _REL_TOL = 1e-10  # a bisection that moves a panel by at most this times the scale stops
+_MAX_SPLITS = 24  # a panel this many bisections deep is accepted as it is
+_PANEL_ROWS = 1 << 12  # Gauss panels per batch: a ~1 MB node-value temporary
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +191,9 @@ def random_rearrangement(g: LineStepFunction, tree: Tree, seed=None) -> StepFunc
 # ---------------------------------------------------------------------------
 
 
-def _gauss_panel(fn, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(np.dot(_GAUSS_W, fn(mid + half * _GAUSS_X)))
-
-
-def _adaptive_gauss(fn, lo, hi, scale, rel_tol=_REL_TOL, max_splits=24) -> float:
-    """32-node Gauss panels, bisected until the refinement stops moving the
-    panel value relative to ``scale``."""
-    whole = _gauss_panel(fn, lo, hi)
-    stack = [(lo, hi, whole, 0)]
-    total = 0.0
-    while stack:
-        a, b, estimate, level = stack.pop()
-        m = 0.5 * (a + b)
-        left = _gauss_panel(fn, a, m)
-        right = _gauss_panel(fn, m, b)
-        if abs(left + right - estimate) <= rel_tol * scale or level >= max_splits:
-            total += left + right
-        else:
-            stack.append((a, m, left, level + 1))
-            stack.append((m, b, right, level + 1))
-    return total
-
-
 def _gauss_panels(lo, hi, v, offset, weight, r) -> np.ndarray:
-    """:func:`_gauss_panel` of ``weight * (v + offset/x)**r`` on every row's
-    ``[lo, hi]`` at once, bit for bit."""
+    """32-node Gauss panel of ``weight * (v + offset/x)**r`` on every row's
+    ``[lo, hi]`` at once."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GAUSS_X
@@ -225,23 +202,49 @@ def _gauss_panels(lo, hi, v, offset, weight, r) -> np.ndarray:
     return half * np.fromiter(map(_GAUSS_W.dot, y), np.float64, len(y))
 
 
-def _first_splits(lo, hi, v, offset, weight, r, scale) -> list:
-    """The first bisection of :func:`_adaptive_gauss` for many pieces at once:
-    ``left + right`` where it is accepted, None where the piece must be
-    refined."""
-    mid = 0.5 * (lo + hi)
-    whole = _gauss_panels(lo, hi, v, offset, weight, r)
-    left = _gauss_panels(lo, mid, v, offset, weight, r)
-    split = left + _gauss_panels(mid, hi, v, offset, weight, r)
-    accepted = np.abs(split - whole) <= _REL_TOL * scale
-    return [value if ok else None for value, ok in zip(split, accepted)]
+def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
+    """Integral of ``weight * (v + offset/x)**r`` over every row's ``[lo, hi]``.
 
+    A 32-node Gauss panel is bisected until that moves it by at most
+    ``_REL_TOL * scale`` or it is ``_MAX_SPLITS`` deep, and a row's accepted
+    ``left + right`` values are added right to left from 0.0, as a depth-first
+    stack pushing the right half last would. Each round bisects the rightmost
+    ``_PANEL_ROWS`` open panels and adds the accepted ones no open panel lies
+    right of, so the panels in hand stay bounded however deep a row refines.
+    """
 
-def _check_hardy_exponents(p: float, q: float) -> tuple[float, float]:
-    p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
-    if q != 0.0 and not 1.0 <= q <= p:
-        raise DomainError(f"q must lie in [1, p] (or 0 for the pure power), got {q}")
-    return float(p), float(q)
+    def gauss(a, b, row):
+        k = row.astype(np.intp)
+        return _gauss_panels(a, b, v[k], offset[k], weight[k], r)
+
+    n = lo.size
+    # an open panel is a column (row, start, width, lo, hi, Gauss value); start and
+    # width count 2**-_MAX_SPLITS of the row's interval, integers exact in float64
+    todo = np.array((np.arange(n), np.zeros(n), np.full(n, 2.0**_MAX_SPLITS), lo, hi, np.empty(n)))
+    for chunk in np.split(todo, range(_PANEL_ROWS, n, _PANEL_ROWS), axis=1):  # views of todo
+        chunk[5] = gauss(chunk[3], chunk[4], chunk[0])
+    done = np.empty((3, 0))  # accepted (row, start, left + right), not yet added
+    total = [0.0] * n
+    while todo.shape[1]:
+        cut = max(todo.shape[1] - _PANEL_ROWS, 0)
+        order = np.argpartition(todo[1], cut)
+        todo, (row, start, width, a, b, estimate) = todo[:, order[:cut]], todo[:, order[cut:]]
+        mid = 0.5 * (a + b)
+        left, right = gauss(a, mid, row), gauss(mid, b, row)
+        split = left + right
+        ok = (np.abs(split - estimate) <= _REL_TOL * scale) | (width == 1.0)
+        half = 0.5 * width
+        todo = np.concatenate((todo, np.array((row, start, half, a, mid, left))[:, ~ok],
+                               np.array((row, start + half, half, mid, b, right))[:, ~ok]), axis=1)
+        done = np.concatenate((done, np.array((row, start, split))[:, ok]), axis=1)
+        edge = np.full(n, -1.0)  # start of each row's rightmost open panel
+        np.maximum.at(edge, todo[0].astype(np.intp), todo[1])
+        final = done[1] > edge[done[0].astype(np.intp)]
+        ready, done = done[:, final], done[:, ~final]
+        ready = ready[:, np.lexsort((-ready[1], ready[0]))]
+        for i, value in zip(ready[0].astype(np.intp).tolist(), ready[2].tolist()):
+            total[i] += value  # one float at a time: a pairwise sum rounds apart
+    return np.array(total)
 
 
 def hardy_moment(g, p: float, q: float) -> float:
@@ -249,10 +252,13 @@ def hardy_moment(g, p: float, q: float) -> float:
 
     Power laws use the closed form ``c**p * (1-a)**(q-p) / (1 - a*p)``;
     step profiles are integrated piece by piece with adaptive Gauss panels
-    (the running average restricted to one piece is smooth), the first
-    bisection of every piece taken in one batch.
+    (the running average restricted to one piece is smooth), all pieces
+    refined in one batch.
     """
-    p, q = _check_hardy_exponents(p, q)
+    p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
+    if q != 0.0 and not 1.0 <= q <= p:
+        raise DomainError(f"q must lie in [1, p] (or 0 for the pure power), got {q}")
+    q = float(q)
     if isinstance(g, PowerLawFunction):
         if g.a * p >= 1.0:
             raise DivergentIntegralError(
@@ -271,23 +277,15 @@ def hardy_moment(g, p: float, q: float) -> float:
     offset = g.prefix_integrals()[:-1] - v * t[:-1]  # running avg = v + offset/t on a piece
     # scalar powers, one per piece: the array power may round one ulp apart
     weight = np.array([vi**q for vi in v])  # 1.0 for the pure power q = 0
+    value = np.zeros(g.piece_count)  # g**q kills a piece of weight 0
+    flat = np.flatnonzero((weight != 0.0) & (offset == 0.0))  # running average v: closed form
+    value[flat] = weight[flat] * np.array([vi**r for vi in v[flat]]) * (t[flat + 1] - t[flat])
     smooth = np.flatnonzero((weight != 0.0) & (offset != 0.0))
-    first = iter(_first_splits(t[smooth], t[smooth + 1], v[smooth], offset[smooth],
-                               weight[smooth], r, scale))
-    total = 0.0
-    for i in range(g.piece_count):
-        if weight[i] == 0.0:
-            continue  # g**q kills the piece
-        if offset[i] == 0.0:
-            # running average equals v[i] on the whole piece: closed form
-            total += weight[i] * v[i] ** r * (t[i + 1] - t[i])
-            continue
-        value = next(first)
-        if value is None:  # the first bisection moved the panel too much
-            w, vi, c = weight[i], v[i], offset[i]
-            value = _adaptive_gauss(lambda x: w * (vi + c / x) ** r, t[i], t[i + 1], scale)
-        total += value
-    return total
+    value[smooth] = _adaptive_gauss(t[smooth], t[smooth + 1], v[smooth], offset[smooth],
+                                    weight[smooth], r, scale)
+    # piece by piece from the left, not pairwise; + 0.0 turns a sum of -0.0
+    # pieces into 0.0, as a running total started at 0.0 gives
+    return float(np.cumsum(value)[-1]) + 0.0
 
 
 def hardy_power(g, p: float) -> float:

@@ -48,6 +48,13 @@ CASES = {
         " --output rows.csv --summary summary.json",
         "6d7b6954f005579d63c362163896fa0106a1867934666cd6cd688728e8735617",
     ),
+    # p=12 is steep enough that 23 step pieces need Gauss panels below their
+    # first bisection: the adaptive refinement's panels and summation order
+    "verify-1.10-refined": (
+        "verify --ineq 1.10 --p 12 --q 4 --beta 0.3 --trials 6 --seed 0"
+        " --output rows.csv --summary summary.json",
+        "4881cd512564169467ea4e6153627fcc76621667d7f566bc0c885a86d1f24ee2",
+    ),
     # 24 rows of 2**14 leaves: one drawn batch, evaluated in several row blocks
     "verify-1.8-row-blocks": (
         "verify --ineq 1.8 --p 3 --q 2 --beta 0.25 --arity 2 --depth 14 --trials 24 --seed 7",

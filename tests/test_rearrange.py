@@ -1,6 +1,7 @@
 """Rearrangements, power-law profiles, and the averaging integrals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,7 @@ from treemax import (
     random_rearrangement,
 )
 from treemax import rearrange
-from treemax.rearrange import _adaptive_gauss
-from treemax.sweeps import orbit_sample_max
+from treemax.sweeps import mixture_values, orbit_sample_max
 
 from conftest import random_step_function
 
@@ -67,10 +67,40 @@ def step_hardy_moment_p2_q1(g: LineStepFunction) -> float:
     return total
 
 
-def per_piece_hardy_moment(g: LineStepFunction, p: float, q: float) -> float:
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
+_REL_TOL = 1e-10
+
+
+def _gauss_panel(fn, lo: float, hi: float) -> float:
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return half * float(np.dot(_GAUSS_W, fn(mid + half * _GAUSS_X)))
+
+
+def _adaptive_gauss(fn, lo, hi, scale, rel_tol=_REL_TOL, max_splits=24) -> float:
+    """32-node Gauss panels, bisected until the refinement stops moving the
+    panel value relative to ``scale``."""
+    whole = _gauss_panel(fn, lo, hi)
+    stack = [(lo, hi, whole, 0)]
+    total = 0.0
+    while stack:
+        a, b, estimate, level = stack.pop()
+        m = 0.5 * (a + b)
+        left = _gauss_panel(fn, a, m)
+        right = _gauss_panel(fn, m, b)
+        if abs(left + right - estimate) <= rel_tol * scale or level >= max_splits:
+            total += left + right
+        else:
+            stack.append((a, m, left, level + 1))
+            stack.append((m, b, right, level + 1))
+    return total
+
+
+def per_piece_hardy_moment(g: LineStepFunction, p: float, q: float, panels=None) -> float:
     """Reference for ``hardy_moment`` on a step profile: every piece on its
-    own in scalar arithmetic, one adaptive Gauss integration per piece whose
-    running average is not constant."""
+    own in scalar arithmetic, one depth-first adaptive Gauss integration
+    (above) per piece whose running average is not constant. The number of
+    Gauss panels each such piece takes is appended to ``panels``."""
     if q == p:
         return g.power_integral(p)
     t = g.breakpoints
@@ -88,9 +118,28 @@ def per_piece_hardy_moment(g: LineStepFunction, p: float, q: float) -> float:
             # running average equals vi on the whole piece: closed form
             total += weight * vi ** (p - q) * (t[i + 1] - t[i])
         else:
-            fn = lambda x: weight * (vi + offset / x) ** (p - q)
+            calls = [0]
+
+            def fn(x):
+                calls[0] += 1
+                return weight * (vi + offset / x) ** (p - q)
+
             total += _adaptive_gauss(fn, t[i], t[i + 1], scale)
+            if panels is not None:
+                panels.append(calls[0])
     return total
+
+
+def mixture_profile(seed: int) -> LineStepFunction:
+    """A 64-piece decreasing profile as ``verify --ineq 1.10`` draws it."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    values = np.sort(mixture_values(rng, 1, 64)[0])[::-1]
+    return LineStepFunction(np.arange(65) / 64.0, values)
+
+
+def assert_same_bits(got, expected, context):
+    got, expected = np.float64(got), np.float64(expected)
+    assert got.view(np.int64) == expected.view(np.int64), (context, got, expected)
 
 
 class TestLineStepFunction:
@@ -265,9 +314,10 @@ class TestHardyIntegrals:
                 expected += v[i] ** 2 * w * math.log(t[i + 1] / t[i])
         assert hardy_moment(g, 3.0, 2.0) == pytest.approx(expected, rel=1e-9)
 
-    def test_step_profiles_match_per_piece_reference_bit_for_bit(self, rng, monkeypatch):
-        """The batched first Gauss split gives exactly the per-piece values,
-        and only pieces whose first split is rejected are refined."""
+    def test_step_profiles_match_per_piece_reference_bit_for_bit(self, rng):
+        """The batched refinement gives exactly the per-piece depth-first
+        values, and the profiles exercise it: some pieces, but few, need
+        panels below their first bisection."""
         profiles = [
             # zero pieces, and a second piece whose running average is its value
             LineStepFunction([0.0, 0.25, 0.5, 0.55, 0.7, 0.9, 1.0], [2.0, 2.0, 0.0, 1.5, 0.0, 0.75]),
@@ -276,6 +326,8 @@ class TestHardyIntegrals:
             LineStepFunction(
                 np.arange(65) / 64, np.round(np.sort(rng.exponential(1.0, 64))[::-1], 1)
             ),
+            # -0.0 pieces: at odd p every closed-form piece is -0.0, the sum 0.0
+            LineStepFunction([0.0, 0.5, 1.0], [-0.0, -0.0]),
         ]
         # short random profiles: a one-ulp error in a piece's weight seldom
         # survives in a long sum, so many short sums are needed to see it
@@ -284,24 +336,68 @@ class TestHardyIntegrals:
             profiles.append(
                 LineStepFunction(breakpoints, np.sort(rng.exponential(1.0, pieces))[::-1])
             )
-        refined = []  # (lo, hi) of every piece handed to the refinement
-
-        def counting_gauss(*args, **kwargs):
-            refined.append(args[1:3])
-            return _adaptive_gauss(*args, **kwargs)
-
-        monkeypatch.setattr(rearrange, "_adaptive_gauss", counting_gauss)
-        smooth_pieces = 0
+        panels = []  # Gauss panels of every smooth piece in the reference
         for k, g in enumerate(profiles):
-            offset = g.prefix_integrals()[:-1] - g.values * g.breakpoints[:-1]
             for p in (1.5, 2.0, 3.0, 5.0, 12.0):
                 for q in {0.0, 1.0, (1.0 + p) / 2.0} | ({3.0} if 3.0 <= p else set()):
-                    expected = np.float64(per_piece_hardy_moment(g, p, q))
-                    got = np.float64(hardy_moment(g, p, q))
-                    assert got.view(np.int64) == expected.view(np.int64), (k, p, q)
-                    if q != p:
-                        smooth_pieces += np.count_nonzero((g.values != 0.0) & (offset != 0.0))
-        assert 0 < len(refined) < smooth_pieces / 10
+                    expected = per_piece_hardy_moment(g, p, q, panels)
+                    assert_same_bits(hardy_moment(g, p, q), expected, (k, p, q))
+        refined = sum(count > 3 for count in panels)  # first split rejected
+        assert 0 < refined < len(panels) / 10
+
+    def test_deep_refinement_matches_reference_bit_for_bit(self):
+        """At p = 15 the mixture profile's pieces refine thousands of panels
+        deep, over many rounds of the batched refinement."""
+        g = mixture_profile(0)
+        panels = []
+        for q in (0.0, 1.0, 8.0):
+            expected = per_piece_hardy_moment(g, 15.0, q, panels)
+            assert_same_bits(hardy_moment(g, 15.0, q), expected, q)
+        assert sum(panels) > 7 * rearrange._PANEL_ROWS  # about 30k, 15.6k in one piece
+
+    @pytest.mark.parametrize("cap", [1, 3, 64])
+    def test_panel_batch_size_does_not_change_bits(self, cap, monkeypatch):
+        profiles = [mixture_profile(seed) for seed in range(4)]
+        profiles.append(LineStepFunction([0.0, 0.02, 0.3, 1.0], [6.0, 1.0, 0.5]))
+        expected = [hardy_moment(g, 12.0, q) for g in profiles for q in (0.0, 4.0)]
+        monkeypatch.setattr(rearrange, "_PANEL_ROWS", cap)
+        got = [hardy_moment(g, 12.0, q) for g in profiles for q in (0.0, 4.0)]
+        for k, (x, y) in enumerate(zip(got, expected)):
+            assert_same_bits(x, y, k)
+
+    def test_gauss_batches_and_panels_in_hand_stay_bounded(self, monkeypatch):
+        rows = []  # rows of every _gauss_panels call
+        real = rearrange._gauss_panels
+
+        def recording(lo, *args):
+            rows.append(lo.size)
+            return real(lo, *args)
+
+        monkeypatch.setattr(rearrange, "_gauss_panels", recording)
+        point = bellman_value(2.0, 1.0, 2.0)
+        wide = discretize(PowerLawFunction.self_similar(1.0, point.alpha), 1 << 14)
+        hardy_power(wide, 2.0)
+        # every piece but the first (its running average is constant) takes
+        # three panels: whole, left and right
+        assert sum(rows) == 3 * ((1 << 14) - 1)
+        assert max(rows) <= rearrange._PANEL_ROWS
+        deep = mixture_profile(0)
+        del rows[:]
+        hardy_power(deep, 16.0)  # about 160k panels in 40 full batches
+        assert sum(rows) > 35 * rearrange._PANEL_ROWS
+        assert max(rows) <= rearrange._PANEL_ROWS
+
+        # a p = 15 moment takes about 19k panels; 16 at a time, rightmost
+        # first, the open and the accepted-but-unadded panels stay few: the
+        # peak is about 50 kB, and taking the oldest first passes 200 kB
+        monkeypatch.setattr(rearrange, "_PANEL_ROWS", 16)
+        tracemalloc.start()
+        try:
+            hardy_power(deep, 15.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
     def test_exponent_domain_errors(self):
         g = PowerLawFunction(c=1.0, a=0.4)
