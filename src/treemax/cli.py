@@ -36,12 +36,12 @@ from .sweeps import (
     BATTERY_SHAPES,
     CellOutcome,
     battery_cells,
+    format_cell_rows,
     mixture_values,
     oracle_sup,
     orbit_sample_max,
     run_battery,
-    thread_count,
-    write_csv,
+    write_csv_header,
 )
 from .tree import Tree, load_step_function, moment
 
@@ -140,21 +140,27 @@ def parse_profile(spec: str):
     """Profile argument: ``powerlaw:f=<v>,alpha=<v>`` or a CSV path with
     ``t_i,value_i`` rows (right endpoints of equal or unequal pieces)."""
     if spec.startswith("powerlaw:"):
-        fields = dict(part.split("=") for part in spec[len("powerlaw:") :].split(","))
+        parts = [part.partition("=") for part in spec[len("powerlaw:") :].split(",")]
+        fields = {key.strip(): value for key, sep, value in parts if sep}
         try:
+            if len(fields) != len(parts) or set(fields) != {"f", "alpha"}:
+                raise ValueError("expected powerlaw:f=<v>,alpha=<v>")
             f = float(fields["f"])
             alpha = float(fields["alpha"])
-        except (KeyError, ValueError) as exc:
-            raise DomainError(f"bad power-law spec {spec!r} ({exc})") from exc
+        except ValueError as exc:
+            raise DomainError(f"bad power-law spec {spec!r} ({exc})") from None
         return PowerLawFunction.from_mean_and_exponent(f, alpha)
     rows = []
     with open(spec, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("t"):
                 continue
-            t_s, v_s = line.split(",")
-            rows.append((float(t_s), float(v_s)))
+            t_s, _, v_s = line.partition(",")
+            try:
+                rows.append((float(t_s), float(v_s)))
+            except ValueError:
+                raise ShapeError(f"{spec} line {number}: expected 't,value', got {line!r}") from None
     if not rows:
         raise ShapeError(f"{spec}: no profile rows")
     breakpoints = np.concatenate(([0.0], [r[0] for r in rows]))
@@ -255,7 +261,8 @@ def _verify_line_profiles(args, config) -> int:
     }
     with _sink(args.output) as sink:
         if sink is not None:
-            write_csv(sink, (f"config: {json.dumps(config)}",), [outcome], ("1.10",))
+            write_csv_header(sink, (f"config: {json.dumps(config)}",))
+            sink.writelines(format_cell_rows(outcome, ("1.10",)))
         _emit(to_json(summary), args.summary)
     return 0
 
@@ -271,7 +278,6 @@ def cmd_verify(args) -> int:
         "depth": args.depth,
         "arity": args.arity,
         "seed": args.seed,
-        "threads": thread_count(),
     }
     if args.ineq == "1.10":
         return _verify_line_profiles(args, config)

@@ -42,7 +42,7 @@ class LineStepFunction:
         v = np.asarray(self.values, dtype=np.float64)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size + 1:
             raise ShapeError("need k+1 breakpoints for k piece values")
-        if t[0] != 0.0 or abs(t[-1] - 1.0) > 1e-12 or np.any(np.diff(t) <= 0):
+        if t[0] != 0.0 or abs(t[-1] - 1.0) > 1e-12 or not np.all(np.diff(t) > 0):
             raise ShapeError("breakpoints must increase strictly from 0 to 1")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise DomainError("piece values must be finite and nonnegative")
@@ -253,7 +253,8 @@ def hardy_moment(g, p: float, q: float) -> float:
     Power laws use the closed form ``c**p * (1-a)**(q-p) / (1 - a*p)``;
     step profiles are integrated piece by piece with adaptive Gauss panels
     (the running average restricted to one piece is smooth), all pieces
-    refined in one batch.
+    refined in one batch. A step profile whose integrand exceeds the float
+    range on some piece raises ``OverflowError`` before any refinement.
     """
     p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
     if q != 0.0 and not 1.0 <= q <= p:
@@ -273,16 +274,21 @@ def hardy_moment(g, p: float, q: float) -> float:
     t = g.breakpoints
     v = g.values
     r = p - q
-    scale = max(abs(g.integral()) ** p, 1.0)
     offset = g.prefix_integrals()[:-1] - v * t[:-1]  # running avg = v + offset/t on a piece
-    # scalar powers, one per piece: the array power may round one ulp apart
-    weight = np.array([vi**q for vi in v])  # 1.0 for the pure power q = 0
-    value = np.zeros(g.piece_count)  # g**q kills a piece of weight 0
-    flat = np.flatnonzero((weight != 0.0) & (offset == 0.0))  # running average v: closed form
-    value[flat] = weight[flat] * np.array([vi**r for vi in v[flat]]) * (t[flat + 1] - t[flat])
-    smooth = np.flatnonzero((weight != 0.0) & (offset != 0.0))
-    value[smooth] = _adaptive_gauss(t[smooth], t[smooth + 1], v[smooth], offset[smooth],
-                                    weight[smooth], r, scale)
+    with np.errstate(over="ignore"):
+        # scalar powers, one per piece: the array power may round one ulp apart
+        weight = np.array([vi**q for vi in v])  # 1.0 for the pure power q = 0
+        value = np.zeros(g.piece_count)  # g**q kills a piece of weight 0
+        flat = np.flatnonzero((weight != 0.0) & (offset == 0.0))  # running average v: closed form
+        value[flat] = weight[flat] * np.array([vi**r for vi in v[flat]]) * (t[flat + 1] - t[flat])
+        smooth = np.flatnonzero((weight != 0.0) & (offset != 0.0))
+        lo, hi = t[smooth], t[smooth + 1]
+        # the running average is monotone on a piece, so the integrand peaks at an end
+        peaks = [weight[smooth] * (v[smooth] + offset[smooth] / x) ** r for x in (lo, hi)]
+    if not (np.isfinite(value).all() and np.isfinite(peaks).all()):
+        raise OverflowError(f"(running average)**{r:g} of a step piece exceeds the float range")
+    scale = max(abs(g.integral()) ** p, 1.0)
+    value[smooth] = _adaptive_gauss(lo, hi, v[smooth], offset[smooth], weight[smooth], r, scale)
     # piece by piece from the left, not pairwise; + 0.0 turns a sum of -0.0
     # pieces into 0.0, as a running total started at 0.0 gives
     return float(np.cumsum(value)[-1]) + 0.0

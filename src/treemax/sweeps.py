@@ -3,13 +3,11 @@
 These are the batch engines behind the `verify`, `oracle`, and `symmetrize`
 commands: thousands of seeded random step functions per parameter cell, all
 evaluated as matrices (one row per trial) so a whole batch shares each tree
-sweep. Results are merged in deterministic trial order regardless of how the
-work is scheduled.
+sweep. The battery evaluates its cells one after another in a single loop,
+so the output depends only on the arguments and the seed.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,17 +66,6 @@ def _shape_probabilities(shapes) -> np.ndarray:
     # cost is not dominated by the largest one
     w = np.array([(a**d) ** -0.5 for a, d in shapes])
     return w / w.sum()
-
-
-def thread_count() -> int:
-    """Worker cap: MAXTREE_THREADS if set, else the machine parallelism."""
-    env = os.environ.get("MAXTREE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +201,7 @@ def cell_seed(base_seed: int, cell_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
+def format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
     """The CSV rows of one cell, one string per trial holding its row of
     every inequality. Each distinct column array is formatted once (the
     (1.7)/(1.8)/(1.9) ``lhs`` share one), then one row template is filled."""
@@ -232,46 +219,33 @@ def _format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
     return [template % fields for fields in zip(*(text[id(a)] for a in columns))]
 
 
-def write_csv(sink, header_lines, outcomes, inequalities) -> None:
-    """Comment lines, the column names, then the rows of every outcome."""
+def write_csv_header(sink, header_lines) -> None:
+    """Comment lines, then the column names."""
     for line in header_lines:
         sink.write(f"# {line}\n")
     sink.write(CSV_HEADER + "\n")
-    for outcome in outcomes:
-        sink.writelines(_format_cell_rows(outcome, inequalities))
 
 
-def summarize_outcomes(outcomes, inequalities) -> dict:
-    """Global minimum deficit, where it happened, and the violation count
-    (deficits below ``-DEFICIT_SLACK * max(1, |rhs|)``)."""
-    min_deficit = np.inf
-    argmin = None
-    violations = 0
-    per_inequality = {k: np.inf for k in inequalities}
-    for outcome in outcomes:
-        for k in inequalities:
-            deficit = outcome.deficit[k]
-            scale = np.maximum(1.0, np.abs(outcome.rhs[k]))
-            violations += int((deficit < -DEFICIT_SLACK * scale).sum())
-            i = int(np.argmin(deficit))
-            if deficit[i] < per_inequality[k]:
-                per_inequality[k] = float(deficit[i])
-            if deficit[i] < min_deficit:
-                min_deficit = float(deficit[i])
-                argmin = {
-                    "ineq": k,
-                    "p": outcome.p,
-                    "q": outcome.q,
-                    "beta": outcome.beta,
-                    "seed": outcome.seed,
-                    "trial": i,
-                }
-    return {
-        "min_deficit": min_deficit,
-        "argmin": argmin,
-        "violations": violations,
-        "per_inequality": per_inequality,
-    }
+def _fold_cell(summary: dict, outcome: CellOutcome, inequalities) -> None:
+    """Fold one cell into the running ``summary``. A strict ``<`` keeps the
+    earliest cell, inequality and trial on a tie."""
+    for k in inequalities:
+        deficit = outcome.deficit[k]
+        scale = np.maximum(1.0, np.abs(outcome.rhs[k]))
+        summary["violations"] += int((deficit < -DEFICIT_SLACK * scale).sum())
+        i = int(np.argmin(deficit))
+        if deficit[i] < summary["per_inequality"][k]:
+            summary["per_inequality"][k] = float(deficit[i])
+        if deficit[i] < summary["min_deficit"]:
+            summary["min_deficit"] = float(deficit[i])
+            summary["argmin"] = {
+                "ineq": k,
+                "p": outcome.p,
+                "q": outcome.q,
+                "beta": outcome.beta,
+                "seed": outcome.seed,
+                "trial": i,
+            }
 
 
 def run_battery(
@@ -283,33 +257,35 @@ def run_battery(
     csv_sink=None,
     header_lines=(),
 ) -> dict:
-    """Evaluate every cell of the grid and return the summary.
+    """Evaluate every cell of the grid and return the summary: the global
+    minimum deficit, where it happened, the minimum per inequality and the
+    violation count (deficits below ``-DEFICIT_SLACK * max(1, |rhs|)``).
 
-    ``csv_sink`` is any object with ``write``; rows are emitted in cell-major,
-    trial-major, inequality-major order with 17-significant-digit floats, so
-    two runs with the same seed produce byte-identical output. Cells may be
-    evaluated concurrently; emission order never depends on scheduling.
+    One loop evaluates the cells in order, writes each cell's rows to
+    ``csv_sink`` (any object with ``write``) and folds it into the summary
+    before the next, so one cell's arrays are held at a time. Rows are in
+    cell-major, trial-major, inequality-major order with 17-significant-digit
+    floats, so two runs with the same seed produce byte-identical output.
     """
     if cells is None:
         cells = battery_cells()
-    seeds = [cell_seed(base_seed, i) for i in range(len(cells))]
-
-    def work(i: int) -> CellOutcome:
-        p, q, beta = cells[i]
-        return evaluate_cell(
-            p, q, beta, trials_per_cell, seeds[i], shapes, inequalities
-        )
-
-    workers = thread_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(work, range(len(cells))))
-    else:
-        outcomes = [work(i) for i in range(len(cells))]
-
     if csv_sink is not None:
-        write_csv(csv_sink, header_lines, outcomes, inequalities)
-    return summarize_outcomes(outcomes, inequalities)
+        write_csv_header(csv_sink, header_lines)
+    summary = {
+        "min_deficit": np.inf,
+        "argmin": None,
+        "violations": 0,
+        "per_inequality": dict.fromkeys(inequalities, np.inf),
+    }
+    for index, (p, q, beta) in enumerate(cells):
+        outcome = evaluate_cell(
+            p, q, beta, trials_per_cell, cell_seed(base_seed, index), shapes, inequalities
+        )
+        if csv_sink is not None:
+            csv_sink.writelines(format_cell_rows(outcome, inequalities))
+        _fold_cell(summary, outcome, inequalities)
+        del outcome  # release this cell before the next is drawn
+    return summary
 
 
 # ---------------------------------------------------------------------------

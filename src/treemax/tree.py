@@ -43,8 +43,9 @@ class Tree:
 
     Notes
     -----
-    Instances are immutable after construction and safe to share across
-    threads. All node measures are exact powers ``arity**(-level)``.
+    Instances are immutable after construction, so one instance can serve
+    every function on the same shape. All node measures are exact powers
+    ``arity**(-level)``.
     """
 
     __slots__ = ("arity", "depth", "offsets", "node_count", "leaf_count")

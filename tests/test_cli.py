@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ class TestVerifyCommand:
             assert status == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_output_ignores_thread_environment(self, capsys, tmp_path, monkeypatch):
+        outputs = []
+        for threads in (None, "1", "3"):
+            if threads is None:
+                monkeypatch.delenv("MAXTREE_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MAXTREE_THREADS", threads)
+            rows, summary = tmp_path / f"{threads}.csv", tmp_path / f"{threads}.json"
+            status, _ = run_cli(
+                capsys, "verify", "--ineq", "1.9", "--p", "3", "--q", "2",
+                "--beta", "0.5", "--trials", "20", "--depth", "4", "--seed", "11",
+                "--output", str(rows), "--summary", str(summary),
+            )
+            assert status == 0
+            outputs.append((rows.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "threads" not in json.loads(outputs[0][1])["config"]
+
     def test_line_inequality_sweep(self, capsys, tmp_path):
         out_csv = tmp_path / "line.csv"
         status, out = run_cli(
@@ -258,10 +277,11 @@ class TestErrorPaths:
         assert status == 1
 
     def test_bad_powerlaw_spec(self, capsys):
-        status, _ = run_cli(
-            capsys, "symmetrize", "--depth", "4", "--g", "powerlaw:oops"
-        )
+        status = main(["symmetrize", "--depth", "4", "--g", "powerlaw:oops"])
         assert status == 1
+        assert capsys.readouterr().err == (
+            "error: bad power-law spec 'powerlaw:oops' (expected powerlaw:f=<v>,alpha=<v>)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -286,6 +306,8 @@ class TestErrorPaths:
             "bellman --p 3 --f 65 --F 1e308",
             "oracle --p 2 --f 1e200 --F 1e300 --depth 3 --budget 2",
             "symmetrize --p 64 --depth 4 --g powerlaw:f=1e10,alpha=0.01",
+            "symmetrize --depth 4 --g powerlaw:f",
+            "symmetrize --depth 4 --g powerlaw:f=1,alpha=0.2,c=3",
             "sharpness --family g_alpha --p 2 --grid 0.1 --f 1e308",
             "sharpness --family G --p 2 --points 0",
             "sharpness --family g_alpha --p 2 --points 0",
@@ -303,6 +325,31 @@ class TestErrorPaths:
         # a rejected run leaves an existing output file as it was
         assert keep.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [keep]
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("0.5,2,3\n1,1\n", "line 1: expected 't,value', got '0.5,2,3'"),
+            ("t,value\n0.5,2\n1\n", "line 3: expected 't,value', got '1'"),
+            ("0.5,x\n1,1\n", "line 1: expected 't,value', got '0.5,x'"),
+            # the line integral overflows: rejected before any quadrature
+            ("0.0001,1e8\n1,1\n", "floating-point overflow"),
+        ],
+    )
+    def test_bad_profile_csv_exits_one(self, capsys, tmp_path, profile, message):
+        path = tmp_path / "prof.csv"
+        path.write_text(profile)
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        status = main([
+            "symmetrize", "--p", "64", "--depth", "1", "--g", str(path), "--output", str(out),
+        ])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_overflowing_moment_exits_one(self, capsys, tmp_path):
         path = tmp_path / "phi.csv"

@@ -5,8 +5,7 @@ followed by the files it wrote, so a refactor that must leave every output
 byte alone (CSV rows, JSON key order, 17-digit floats, trial order) is
 checked in one place. The digests were recorded with numpy 2.4 on x86-64;
 a change that alters output bytes on purpose updates them and says so in
-CHANGES.md. ``MAXTREE_THREADS`` is fixed because the verify config line
-echoes the resolved thread count.
+CHANGES.md.
 """
 
 import hashlib
@@ -20,45 +19,45 @@ from treemax.tree import StepFunction, Tree, save_step_function
 CASES = {
     "verify-grid": (
         "verify --ineq grid --trials 2 --seed 1 --output rows.csv --summary summary.json",
-        "f2431542d0224a9df7c592019ee91e42b16b60b58f6aa26d675a475ff62397c6",
+        "838febf87771f8ef696c5278d356676bc0fa4f61dbee6a45403f0cffbe1eb99a",
     ),
     "verify-1.9": (
         "verify --ineq 1.9 --p 3 --q 2 --beta 0.5 --trials 40 --depth 5 --seed 11"
         " --output rows.csv --summary summary.json",
-        "c68681eee585e1d147e83c5ada622e2e90bbced7e8783a29dd7a53c195ecfee9",
+        "74214bbb4829342cf07e89895abc972e854293354449ae2ca2167434f048150b",
     ),
     "verify-1.10": (
         "verify --ineq 1.10 --p 2 --q 1.5 --beta 0.8 --trials 12 --seed 3"
         " --output rows.csv --summary summary.json",
-        "20d8e8d360acba84d4a3ea6e56b4d5d674e4c195ace6e890044731dfe43b74a2",
+        "d0134e06b1e7f02f2a14140c9942a976cf00975706f415c3800a5c3921710cc2",
     ),
     # arity 9 averages its levels through numpy's mean, arity 3 through the
     # explicit child sum; p=5, q=3 is where an array power ``v**q`` would
     # round one ulp away from the per-piece scalar ``vi**q``
     "verify-1.2-arity-9": (
         "verify --ineq 1.2 --arity 9 --depth 2 --trials 30 --seed 2",
-        "808c7146d8e479c1638274713f84cb54672bf77e7442e41982a2b1059608f369",
+        "36a16d3d626b23eb76a5ffa946fb6f43b3c8e93856411d6883cb47eafa7a308a",
     ),
     "verify-1.9-arity-3": (
         "verify --ineq 1.9 --p 3 --q 2 --arity 3 --depth 7 --trials 20 --seed 6",
-        "0216ccc804f6c33b909e5d87cecf751147f1b38e9aef0c50e6b3d996e1ed9383",
+        "072f92760ad5029d16273d70f65ef17882f4b842a85d4243d953e747b0bcf4e6",
     ),
     "verify-1.10-generic-q": (
         "verify --ineq 1.10 --p 5 --q 3 --beta 0.2 --trials 12 --seed 4"
         " --output rows.csv --summary summary.json",
-        "6d7b6954f005579d63c362163896fa0106a1867934666cd6cd688728e8735617",
+        "5833e802a64e7e243db68837a4b49edf18c0eebd780dc8eeb4941ebc9672217d",
     ),
     # p=12 is steep enough that 23 step pieces need Gauss panels below their
     # first bisection: the adaptive refinement's panels and summation order
     "verify-1.10-refined": (
         "verify --ineq 1.10 --p 12 --q 4 --beta 0.3 --trials 6 --seed 0"
         " --output rows.csv --summary summary.json",
-        "4881cd512564169467ea4e6153627fcc76621667d7f566bc0c885a86d1f24ee2",
+        "e16ab1999d74f4a251e21a318a65c26d868c357b50d6e997bb492ef8262f9d89",
     ),
     # 24 rows of 2**14 leaves: one drawn batch, evaluated in several row blocks
     "verify-1.8-row-blocks": (
         "verify --ineq 1.8 --p 3 --q 2 --beta 0.25 --arity 2 --depth 14 --trials 24 --seed 7",
-        "4ca408b3f01022de01f1c6fe1eb27c23c23629165c1efb312adeb3aef2a4a941",
+        "c7350b9383b841f20161cd83e9e08fcedb0bc81595a01f438b37638418b7e1b3",
     ),
     "maximal": (
         "maximal --input phi.csv --p 3",
@@ -117,7 +116,6 @@ INPUTS = {"maximal": _write_seeded_phi, "maximal-ternary-ties": _write_tie_heavy
 @pytest.mark.parametrize("name", list(CASES))
 def test_output_digest(name, tmp_path, monkeypatch, capsys):
     argv, expected = CASES[name]
-    monkeypatch.setenv("MAXTREE_THREADS", "2")
     monkeypatch.chdir(tmp_path)
     if name in INPUTS:
         INPUTS[name](tmp_path / "phi.csv")

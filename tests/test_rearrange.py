@@ -148,6 +148,8 @@ class TestLineStepFunction:
             LineStepFunction([0.0, 0.5], [1.0, 2.0])
         with pytest.raises(ShapeError):
             LineStepFunction([0.1, 0.5, 1.0], [1.0, 2.0])
+        with pytest.raises(ShapeError):
+            LineStepFunction([0.0, np.nan, 1.0], [1.0, 2.0])
         with pytest.raises(DomainError):
             LineStepFunction([0.0, 0.5, 1.0], [1.0, -2.0])
 
@@ -398,6 +400,20 @@ class TestHardyIntegrals:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 1024
+
+    @pytest.mark.parametrize("values", [(1e8, 1.0), (1.0, 1e5)])
+    def test_overflowing_integrand_raises_before_refinement(self, values, monkeypatch):
+        # a flat first piece, then a smooth piece whose running average
+        # overflows **64 at its left end, or at its right end
+        def no_refinement(*args):
+            raise AssertionError("refined an overflowing integrand")
+
+        monkeypatch.setattr(rearrange, "_adaptive_gauss", no_refinement)
+        g = LineStepFunction([0.0, 1e-4, 1.0], values)
+        with pytest.raises(OverflowError):
+            hardy_power(g, 64.0)
+        with pytest.raises(OverflowError):
+            hardy_moment(g, 64.0, 2.0)
 
     def test_exponent_domain_errors(self):
         g = PowerLawFunction(c=1.0, a=0.4)

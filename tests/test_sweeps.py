@@ -24,11 +24,11 @@ from treemax import (
 from treemax import sweeps
 from treemax.sweeps import (
     CellOutcome,
-    _format_cell_rows,
     _orbit_values,
     batch_maximal_leaves,
     cell_seed,
     evaluate_cell,
+    format_cell_rows,
     mixture_values,
 )
 
@@ -245,28 +245,26 @@ class TestCsvRows:
     @pytest.mark.parametrize("keys", [("1.2",), ("1.8",), ("1.10",), ("1.2", "1.7", "1.8", "1.9")])
     def test_matches_per_row_reference(self, keys):
         out = self._outcome(keys, trials=8)
-        assert "".join(_format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
+        assert "".join(format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
 
     def test_shared_lhs_matches_per_row_reference(self):
         keys = ("1.2", "1.7", "1.8", "1.9")
         out = evaluate_cell(3.0, 2.0, 0.25, 30, 9, shapes=[(2, 4), (3, 2)])
-        assert "".join(_format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
+        assert "".join(format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
         sub = ("1.9", "1.2")
-        assert "".join(_format_cell_rows(out, sub)) == "".join(_format_rows_per_row(out, sub))
+        assert "".join(format_cell_rows(out, sub)) == "".join(_format_rows_per_row(out, sub))
 
 
 class TestRunBattery:
-    def test_summary_and_determinism(self, monkeypatch):
+    def test_summary_and_determinism(self):
         cells = [(2.0, 1.0, 1.0), (3.0, 2.0, 0.5)]
         sink_a, sink_b = io.StringIO(), io.StringIO()
-        sum_a = run_battery(
-            base_seed=5, trials_per_cell=100, cells=cells, csv_sink=sink_a,
-            header_lines=("config: test",),
-        )
-        monkeypatch.setenv("MAXTREE_THREADS", "1")
-        sum_b = run_battery(
-            base_seed=5, trials_per_cell=100, cells=cells, csv_sink=sink_b,
-            header_lines=("config: test",),
+        sum_a, sum_b = (
+            run_battery(
+                base_seed=5, trials_per_cell=100, cells=cells, csv_sink=sink,
+                header_lines=("config: test",),
+            )
+            for sink in (sink_a, sink_b)
         )
         assert sink_a.getvalue() == sink_b.getvalue()
         assert sum_a == sum_b
