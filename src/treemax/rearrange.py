@@ -198,8 +198,8 @@ def _gauss_panels(lo, hi, v, offset, weight, r) -> np.ndarray:
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GAUSS_X
     y = weight[:, None] * (v[:, None] + offset[:, None] / x) ** r
-    # one dot per row: a matrix-vector product sums in another order
-    return half * np.fromiter(map(_GAUSS_W.dot, y), np.float64, len(y))
+    # a row sum as one row alone sums it; a matrix-vector product sums in another order
+    return half * (y * _GAUSS_W).sum(axis=1)
 
 
 def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
@@ -253,8 +253,9 @@ def hardy_moment(g, p: float, q: float) -> float:
     Power laws use the closed form ``c**p * (1-a)**(q-p) / (1 - a*p)``;
     step profiles are integrated piece by piece with adaptive Gauss panels
     (the running average restricted to one piece is smooth), all pieces
-    refined in one batch. A step profile whose integrand exceeds the float
-    range on some piece raises ``OverflowError`` before any refinement.
+    refined in one batch to ``_REL_TOL`` times ``max(integral of g**p, 1)``.
+    A step profile whose integrand or ``g**p`` exceeds the float range on
+    some piece raises ``OverflowError`` before any refinement.
     """
     p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
     if q != 0.0 and not 1.0 <= q <= p:
@@ -285,9 +286,11 @@ def hardy_moment(g, p: float, q: float) -> float:
         lo, hi = t[smooth], t[smooth + 1]
         # the running average is monotone on a piece, so the integrand peaks at an end
         peaks = [weight[smooth] * (v[smooth] + offset[smooth] / x) ** r for x in (lo, hi)]
-    if not (np.isfinite(value).all() and np.isfinite(peaks).all()):
-        raise OverflowError(f"(running average)**{r:g} of a step piece exceeds the float range")
-    scale = max(abs(g.integral()) ** p, 1.0)
+        # for a non-increasing g, J lies between the integral of g**p and
+        # (p/(p-1))**p times it; the floor stops a tiny profile refining forever
+        scale = max(g.power_integral(p), 1.0)
+    if not (np.isfinite(value).all() and np.isfinite(peaks).all() and np.isfinite(scale)):
+        raise OverflowError(f"(running average)**{r:g} or g**{p:g} exceeds the float range")
     value[smooth] = _adaptive_gauss(lo, hi, v[smooth], offset[smooth], weight[smooth], r, scale)
     # piece by piece from the left, not pairwise; + 0.0 turns a sum of -0.0
     # pieces into 0.0, as a running total started at 0.0 gives

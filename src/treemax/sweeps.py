@@ -30,13 +30,10 @@ BATTERY_PS = (1.5, 2.0, 3.0, 5.0)
 BATTERY_SHAPES = tuple((arity, depth) for arity in (2, 3) for depth in range(2, 11))
 BATTERY_INEQUALITIES = ("1.2", "1.7", "1.8", "1.9")
 
-# Largest matrix (rows * leaves) drawn at once. The draw sizes fix the
-# generator stream, so this constant fixes the output bytes.
-MAX_BATCH_ELEMENTS = 1 << 20
-# Largest matrix swept at once: a drawn batch is evaluated in row blocks of
-# at most this many leaf values, which keeps every temporary of the tree
-# sweep and the moment reduction cache-sized. Every per-row result is
-# independent of how rows are grouped, so this changes no output byte.
+# Largest matrix drawn and swept at once: trials go in row blocks of at most
+# this many leaf values, so every temporary stays cache-sized. Each leaf value
+# is one double at a fixed stream position and every per-row result is
+# independent of how rows are grouped, so this fixes no output byte.
 BLOCK_ELEMENTS = 1 << 16
 
 SWAP_ROUNDS = 800  # rounds of the orbit search's ascent
@@ -76,15 +73,18 @@ def _shape_probabilities(shapes) -> np.ndarray:
 def mixture_values(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """I.i.d. leaf values from a mixture of uniform, exponential, and a
     skewed two-point law; the heavy components stress the near-extremal
-    regime where deficits get small."""
-    # int8 before the next draw: the draw is the battery's memory peak
-    component = rng.integers(0, 3, size=(rows, cols)).astype(np.int8).reshape(-1)
+    regime where deficits get small. Each value is one uniform ``u``:
+    ``c = int(3u)`` picks the component and ``w = 3u - c`` feeds it, so
+    draws of any sizes give the values of one draw."""
     values = rng.random((rows, cols))
+    values *= 3.0
+    component = values.astype(np.int8).reshape(-1)
+    values -= component.reshape(rows, cols)
     flat = values.reshape(-1)
     at = np.flatnonzero(component == 1)
-    flat[at] = rng.exponential(1.0, at.size)
+    flat[at] = -np.log1p(-flat[at])
     at = np.flatnonzero(component == 2)
-    flat[at] = np.where(rng.random(at.size) < 0.1, 12.0, 0.05)
+    flat[at] = np.where(flat[at] < 0.1, 12.0, 0.05)
     return values
 
 
@@ -92,7 +92,7 @@ def _row_blocks(rows: int, leaves: int) -> list[slice]:
     """Consecutive row slices of at most ``BLOCK_ELEMENTS`` leaf values each
     (at least one row), so every temporary of a block's sweep stays small."""
     step = max(1, BLOCK_ELEMENTS // leaves)
-    return [slice(start, start + step) for start in range(0, rows, step)]
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 @dataclass
@@ -128,10 +128,11 @@ def evaluate_cell(
     Each trial draws a tree shape, i.i.d. mixture leaf values, and a
     weak-type level; every deficit is an exact finite sum per trial. The
     generator is owned by the cell, so a (seed, cell) pair fully determines
-    every number here. Leaf values are drawn in batches of at most
-    ``MAX_BATCH_ELEMENTS`` and evaluated in row blocks of at most
-    ``BLOCK_ELEMENTS``. Out-of-domain parameters, tree shapes, trial counts
-    or inequality keys raise before anything is drawn.
+    every number here. After a shape index and a level fraction per trial,
+    the stream holds the leaf values shape by shape, trial by trial, one
+    double each, drawn and evaluated in row blocks of ``BLOCK_ELEMENTS``.
+    Out-of-domain parameters, tree shapes, trial counts or inequality keys
+    raise before anything is drawn.
     """
     IneqParams(p, q, beta)  # validates the parameter triple
     if not set(inequalities) <= set(BATTERY_INEQUALITIES):
@@ -166,22 +167,18 @@ def evaluate_cell(
         if rows.size == 0:
             continue
         leaves = tree.leaf_count
-        step = max(1, MAX_BATCH_ELEMENTS // leaves)
-        for start in range(0, rows.size, step):
-            batch = rows[start : start + step]
-            values = mixture_values(rng, batch.size, leaves)
-            for block in _row_blocks(batch.size, leaves):
-                idx, v = batch[block], values[block]
-                m = batch_maximal_leaves(v, tree.arity, tree.depth)
-                f, big_f, j0[idx], j1, jq = tree_moments(v, m, p, q)
-                out.f[idx], out.F[idx] = f, big_f
-                if "1.2" in out.lhs:
-                    lam = lam_frac[idx] * m.max(axis=1)
-                    out.lhs["1.2"][idx], out.rhs["1.2"][idx] = weak_type_sides(v, m, lam)
-                fp = f**p
-                for key in moment_keys:
-                    out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
-            del values, v  # v is a view of values; hold no batch across the next draw
+        for block in _row_blocks(rows.size, leaves):
+            idx = rows[block]
+            v = mixture_values(rng, idx.size, leaves)
+            m = batch_maximal_leaves(v, tree.arity, tree.depth)
+            f, big_f, j0[idx], j1, jq = tree_moments(v, m, p, q)
+            out.f[idx], out.F[idx] = f, big_f
+            if "1.2" in out.lhs:
+                lam = lam_frac[idx] * m.max(axis=1)
+                out.lhs["1.2"][idx], out.rhs["1.2"][idx] = weak_type_sides(v, m, lam)
+            fp = f**p
+            for key in moment_keys:
+                out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
 
     for key in inequalities:
         out.deficit[key] = out.rhs[key] - out.lhs[key]
@@ -310,18 +307,13 @@ def _orbit_best(values: np.ndarray, tree: Tree, p: float, count: int, rng):
     n = tree.leaf_count
     best_value = float(_orbit_values(values, tree.arity, tree.depth, p)[0])
     best, from_random = values, False
-    chunk = max(1, MAX_BATCH_ELEMENTS // n)
-    remaining = int(count)
-    while remaining > 0:
-        rows = min(chunk, remaining)
-        remaining -= rows
-        keys = rng.random((rows, n))
-        for block in _row_blocks(rows, n):
-            candidates = values[np.argsort(keys[block], axis=1)]
-            found = _orbit_values(candidates, tree.arity, tree.depth, p)
-            i = int(np.argmax(found))
-            if found[i] > best_value:
-                best_value, best, from_random = float(found[i]), candidates[i].copy(), True
+    for block in _row_blocks(int(count), n):
+        rows = block.stop - block.start
+        candidates = rng.permuted(np.broadcast_to(values, (rows, n)), axis=1)
+        found = _orbit_values(candidates, tree.arity, tree.depth, p)
+        i = int(np.argmax(found))
+        if found[i] > best_value:
+            best_value, best, from_random = float(found[i]), candidates[i].copy(), True
     return best_value, best, from_random
 
 

@@ -19,45 +19,46 @@ from treemax.tree import StepFunction, Tree, save_step_function
 CASES = {
     "verify-grid": (
         "verify --ineq grid --trials 2 --seed 1 --output rows.csv --summary summary.json",
-        "838febf87771f8ef696c5278d356676bc0fa4f61dbee6a45403f0cffbe1eb99a",
+        "9fefd89a0ed08bb413f27338a4b6ab6236fe6dc75d6e30b5287e3ab44391f88e",
     ),
     "verify-1.9": (
         "verify --ineq 1.9 --p 3 --q 2 --beta 0.5 --trials 40 --depth 5 --seed 11"
         " --output rows.csv --summary summary.json",
-        "74214bbb4829342cf07e89895abc972e854293354449ae2ca2167434f048150b",
+        "fca1f466fc4ff51762d7b2d71d4e64afe3d2f3428509f9c8789557a11767c575",
     ),
     "verify-1.10": (
         "verify --ineq 1.10 --p 2 --q 1.5 --beta 0.8 --trials 12 --seed 3"
         " --output rows.csv --summary summary.json",
-        "d0134e06b1e7f02f2a14140c9942a976cf00975706f415c3800a5c3921710cc2",
+        "c583c9cfb7f83d17b4b554681ec0f41d6c6d8d96d25a42777c84e7d44bddfcb0",
     ),
     # arity 9 averages its levels through numpy's mean, arity 3 through the
     # explicit child sum; p=5, q=3 is where an array power ``v**q`` would
     # round one ulp away from the per-piece scalar ``vi**q``
     "verify-1.2-arity-9": (
         "verify --ineq 1.2 --arity 9 --depth 2 --trials 30 --seed 2",
-        "36a16d3d626b23eb76a5ffa946fb6f43b3c8e93856411d6883cb47eafa7a308a",
+        "a1786577a691af70a2e2931eb5a4725ccd619291b77207ffc250fdc202f09d64",
     ),
     "verify-1.9-arity-3": (
         "verify --ineq 1.9 --p 3 --q 2 --arity 3 --depth 7 --trials 20 --seed 6",
-        "072f92760ad5029d16273d70f65ef17882f4b842a85d4243d953e747b0bcf4e6",
+        "9da042fc94099c4d7c7ea0d3fbbb3a1d6cf6073aa7c03956a4122bceacd7079a",
     ),
     "verify-1.10-generic-q": (
         "verify --ineq 1.10 --p 5 --q 3 --beta 0.2 --trials 12 --seed 4"
         " --output rows.csv --summary summary.json",
-        "5833e802a64e7e243db68837a4b49edf18c0eebd780dc8eeb4941ebc9672217d",
+        "dae1d12984ba0c89d28f16cc854cfa35adca80cb6cfc9a9b6a71a4e420b3823d",
     ),
-    # p=12 is steep enough that 23 step pieces need Gauss panels below their
-    # first bisection: the adaptive refinement's panels and summation order
+    # p=12: every step piece stops at its first bisection, since the
+    # tolerance scales with the integral of g**p (symmetrize-refined below
+    # takes the refinement's deeper panels and summation order)
     "verify-1.10-refined": (
         "verify --ineq 1.10 --p 12 --q 4 --beta 0.3 --trials 6 --seed 0"
         " --output rows.csv --summary summary.json",
-        "e16ab1999d74f4a251e21a318a65c26d868c357b50d6e997bb492ef8262f9d89",
+        "2e7a8ae1ad164d031df6d3745b8a8d62ee3f52397b550f1ed2347876b7f9dde9",
     ),
-    # 24 rows of 2**14 leaves: one drawn batch, evaluated in several row blocks
+    # 24 rows of 2**14 leaves, drawn and evaluated in several row blocks
     "verify-1.8-row-blocks": (
         "verify --ineq 1.8 --p 3 --q 2 --beta 0.25 --arity 2 --depth 14 --trials 24 --seed 7",
-        "c7350b9383b841f20161cd83e9e08fcedb0bc81595a01f438b37638418b7e1b3",
+        "8c7e9d582a47397b96e2035ac930c82493e8bd9649ff68a160690c2b58f1d65d",
     ),
     "maximal": (
         "maximal --input phi.csv --p 3",
@@ -69,11 +70,16 @@ CASES = {
     ),
     "oracle": (
         "oracle --p 2 --f 1 --F 2 --depth 6 --budget 20 --seed 5",
-        "fc4646084c385ca851ac01a30d91b70d09342086dd9f11beba80c7d6e7523104",
+        "648fd7049179c646a84e3d6d440068173f5deb402ac28b4354594217698b55cc",
     ),
     "symmetrize": (
         "symmetrize --p 2 --f 1 --F 2 --depth 6 --seeds 20 --seed 9",
         "12dc4edc765e4ae817389b1be52093043e86cb9b6595a16b6cec157f427c3f91",
+    ),
+    # a steep step profile: at p=2 most of its pieces refine many levels deep
+    "symmetrize-refined": (
+        "symmetrize --p 2 --depth 4 --seeds 4 --seed 1 --g phi.csv",
+        "b488b9547f2222c4115fba35f186c7226e02602388350681582b5d57fdea5059",
     ),
     "bellman": (
         "bellman --p 3 --f 1 --F 2",
@@ -110,7 +116,19 @@ def _write_tie_heavy_phi(path) -> None:
     save_step_function(StepFunction(Tree(3, 6), values), path)
 
 
-INPUTS = {"maximal": _write_seeded_phi, "maximal-ternary-ties": _write_tie_heavy_phi}
+def _write_steep_profile(path) -> None:
+    """``t**-0.5`` at the right ends of 51 pieces of six decades each, from
+    1e-300 to 1, as ``t,value`` rows."""
+    t = 10.0 ** -np.arange(300, -1, -6, dtype=float)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{r!r},{r ** -0.5!r}\n" for r in t.tolist())
+
+
+INPUTS = {
+    "maximal": _write_seeded_phi,
+    "maximal-ternary-ties": _write_tie_heavy_phi,
+    "symmetrize-refined": _write_steep_profile,
+}
 
 
 @pytest.mark.parametrize("name", list(CASES))

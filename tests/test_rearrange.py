@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,7 +75,7 @@ _REL_TOL = 1e-10
 def _gauss_panel(fn, lo: float, hi: float) -> float:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return half * float(np.dot(_GAUSS_W, fn(mid + half * _GAUSS_X)))
+    return half * float((_GAUSS_W * fn(mid + half * _GAUSS_X)).sum())
 
 
 def _adaptive_gauss(fn, lo, hi, scale, rel_tol=_REL_TOL, max_splits=24) -> float:
@@ -96,17 +97,20 @@ def _adaptive_gauss(fn, lo, hi, scale, rel_tol=_REL_TOL, max_splits=24) -> float
     return total
 
 
-def per_piece_hardy_moment(g: LineStepFunction, p: float, q: float, panels=None) -> float:
+def per_piece_hardy_moment(
+    g: LineStepFunction, p: float, q: float, panels=None, rel_tol=_REL_TOL
+) -> float:
     """Reference for ``hardy_moment`` on a step profile: every piece on its
     own in scalar arithmetic, one depth-first adaptive Gauss integration
-    (above) per piece whose running average is not constant. The number of
-    Gauss panels each such piece takes is appended to ``panels``."""
+    (above) per piece whose running average is not constant, to ``rel_tol``
+    times ``max(integral of g**p, 1)``. The number of Gauss panels each such
+    piece takes is appended to ``panels``."""
     if q == p:
         return g.power_integral(p)
     t = g.breakpoints
     v = g.values
     prefix = g.prefix_integrals()
-    scale = max(abs(g.integral()) ** p, 1.0)
+    scale = max(g.power_integral(p), 1.0)
     total = 0.0
     for i in range(g.piece_count):
         vi = v[i]
@@ -124,7 +128,7 @@ def per_piece_hardy_moment(g: LineStepFunction, p: float, q: float, panels=None)
                 calls[0] += 1
                 return weight * (vi + offset / x) ** (p - q)
 
-            total += _adaptive_gauss(fn, t[i], t[i + 1], scale)
+            total += _adaptive_gauss(fn, t[i], t[i + 1], scale, rel_tol)
             if panels is not None:
                 panels.append(calls[0])
     return total
@@ -135,6 +139,38 @@ def mixture_profile(seed: int) -> LineStepFunction:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     values = np.sort(mixture_values(rng, 1, 64)[0])[::-1]
     return LineStepFunction(np.arange(65) / 64.0, values)
+
+
+def steep_profile() -> LineStepFunction:
+    """``t**-0.5`` taken at the right ends of 51 pieces that span six decades
+    each, from 1e-300 to 1. Every piece holds about the same share of the
+    integral of g**2, and its running average falls a thousandfold across it,
+    so at p = 2 most pieces refine many levels deep at the default tolerance."""
+    t = np.concatenate(([0.0], 10.0 ** -np.arange(300, 0, -6, dtype=float), [1.0]))
+    return LineStepFunction(t, t[1:] ** -0.5)
+
+
+# far below the default: the mixture profile then refines thousands of panels
+# deep at p = 15, down to rounding noise
+DEEP_REL_TOL = 1e-27
+
+
+def mp_hardy_moment(g: LineStepFunction, p: float, q: float):
+    """40-digit reference for ``hardy_moment`` on a step profile: the running
+    average ``v + offset/t`` of each piece from exact prefix sums, and
+    mpmath's quadrature of ``v**q * (v + offset/t)**(p-q)`` over the piece."""
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        total = prefix = mpmath.mpf(0)
+        t, v = g.breakpoints.tolist(), g.values.tolist()
+        for lo, hi, vi in zip(map(mpmath.mpf, t[:-1]), map(mpmath.mpf, t[1:]), map(mpmath.mpf, v)):
+            offset = prefix - vi * lo
+            prefix += vi * (hi - lo)
+            if offset == 0:
+                total += vi**p * (hi - lo)
+            elif vi != 0 or q == 0:
+                total += mpmath.quad(lambda x: vi**q * (vi + offset / x) ** (p - q), [lo, hi])
+        return total
 
 
 def assert_same_bits(got, expected, context):
@@ -316,6 +352,16 @@ class TestHardyIntegrals:
                 expected += v[i] ** 2 * w * math.log(t[i + 1] / t[i])
         assert hardy_moment(g, 3.0, 2.0) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("p", [2.0, 12.0, 20.0])
+    def test_step_profiles_against_mpmath(self, p):
+        # the tolerance is 1e-10 of the integral of g**p per Gauss panel;
+        # on these profiles the achieved error is below 1e-15
+        profiles = [mixture_profile(0), LineStepFunction([0.0, 0.02, 0.3, 1.0], [6.0, 1.0, 0.5])]
+        for k, g in enumerate(profiles):
+            for q in (0.0, (1.0 + p) / 2.0):
+                expected = mp_hardy_moment(g, p, q)
+                assert abs(hardy_moment(g, p, q) - expected) <= 1e-12 * expected, (k, q)
+
     def test_step_profiles_match_per_piece_reference_bit_for_bit(self, rng):
         """The batched refinement gives exactly the per-piece depth-first
         values, and the profiles exercise it: some pieces, but few, need
@@ -347,23 +393,32 @@ class TestHardyIntegrals:
         refined = sum(count > 3 for count in panels)  # first split rejected
         assert 0 < refined < len(panels) / 10
 
-    def test_deep_refinement_matches_reference_bit_for_bit(self):
-        """At p = 15 the mixture profile's pieces refine thousands of panels
-        deep, over many rounds of the batched refinement."""
-        g = mixture_profile(0)
+    def test_deep_refinement_matches_reference_bit_for_bit(self, monkeypatch):
+        """The steep profile refines up to 30 levels deep at p = 2, and the
+        mixture profile thousands of panels deep at p = 15 and a far smaller
+        tolerance, over many rounds of the batched refinement."""
+        g = steep_profile()
         panels = []
-        for q in (0.0, 1.0, 8.0):
-            expected = per_piece_hardy_moment(g, 15.0, q, panels)
+        for q in (0.0, 1.0, 1.5):
+            expected = per_piece_hardy_moment(g, 2.0, q, panels)
+            assert_same_bits(hardy_moment(g, 2.0, q), expected, q)
+        assert sum(panels) > 8000 and max(panels) > 60  # 8850, 63 in one piece
+        monkeypatch.setattr(rearrange, "_REL_TOL", DEEP_REL_TOL)
+        g = mixture_profile(0)
+        for q in (0.0, 4.0, 8.0):
+            expected = per_piece_hardy_moment(g, 15.0, q, panels, DEEP_REL_TOL)
             assert_same_bits(hardy_moment(g, 15.0, q), expected, q)
-        assert sum(panels) > 7 * rearrange._PANEL_ROWS  # about 30k, 15.6k in one piece
+        assert sum(panels) > 8 * rearrange._PANEL_ROWS  # about 36k, 15.2k in one piece
 
     @pytest.mark.parametrize("cap", [1, 3, 64])
     def test_panel_batch_size_does_not_change_bits(self, cap, monkeypatch):
         profiles = [mixture_profile(seed) for seed in range(4)]
         profiles.append(LineStepFunction([0.0, 0.02, 0.3, 1.0], [6.0, 1.0, 0.5]))
-        expected = [hardy_moment(g, 12.0, q) for g in profiles for q in (0.0, 4.0)]
+        cases = [(g, 12.0, q) for g in profiles for q in (0.0, 4.0)]
+        cases += [(steep_profile(), 2.0, q) for q in (0.0, 1.5)]
+        expected = [hardy_moment(*case) for case in cases]
         monkeypatch.setattr(rearrange, "_PANEL_ROWS", cap)
-        got = [hardy_moment(g, 12.0, q) for g in profiles for q in (0.0, 4.0)]
+        got = [hardy_moment(*case) for case in cases]
         for k, (x, y) in enumerate(zip(got, expected)):
             assert_same_bits(x, y, k)
 
@@ -383,15 +438,16 @@ class TestHardyIntegrals:
         # three panels: whole, left and right
         assert sum(rows) == 3 * ((1 << 14) - 1)
         assert max(rows) <= rearrange._PANEL_ROWS
+        monkeypatch.setattr(rearrange, "_REL_TOL", DEEP_REL_TOL)
         deep = mixture_profile(0)
         del rows[:]
-        hardy_power(deep, 16.0)  # about 160k panels in 40 full batches
+        hardy_power(deep, 16.0)  # about 250k panels in 61 full batches
         assert sum(rows) > 35 * rearrange._PANEL_ROWS
         assert max(rows) <= rearrange._PANEL_ROWS
 
-        # a p = 15 moment takes about 19k panels; 16 at a time, rightmost
+        # a p = 15 moment takes about 20k panels; 16 at a time, rightmost
         # first, the open and the accepted-but-unadded panels stay few: the
-        # peak is about 50 kB, and taking the oldest first passes 200 kB
+        # peak is about 50 kB, and taking the oldest first passes 300 kB
         monkeypatch.setattr(rearrange, "_PANEL_ROWS", 16)
         tracemalloc.start()
         try:
@@ -412,6 +468,17 @@ class TestHardyIntegrals:
         g = LineStepFunction([0.0, 1e-4, 1.0], values)
         with pytest.raises(OverflowError):
             hardy_power(g, 64.0)
+        with pytest.raises(OverflowError):
+            hardy_moment(g, 64.0, 2.0)
+
+    def test_overflowing_tolerance_scale_raises_before_refinement(self, monkeypatch):
+        # a narrow last piece: its running average stays near 1, but g**64
+        # there, and so the integral of g**64 that scales the tolerance, overflows
+        def no_refinement(*args):
+            raise AssertionError("refined against an infinite tolerance")
+
+        monkeypatch.setattr(rearrange, "_adaptive_gauss", no_refinement)
+        g = LineStepFunction([0.0, 1.0 - 1e-9, 1.0], [1.0, 1e5])
         with pytest.raises(OverflowError):
             hardy_moment(g, 64.0, 2.0)
 

@@ -34,13 +34,15 @@ from treemax.sweeps import (
 
 
 def _mixture_values_by_mask(rng, rows, cols):
-    """Reference draw: the same generator calls, scattered by boolean masks."""
-    component = rng.integers(0, 3, size=(rows, cols))
-    values = rng.random((rows, cols))
+    """Reference draw: one uniform per value, scattered by boolean masks."""
+    u = 3.0 * rng.random((rows, cols))
+    component = np.floor(u)
+    w = u - component
+    values = w.copy()
     mask = component == 1
-    values[mask] = rng.exponential(1.0, int(mask.sum()))
+    values[mask] = -np.log1p(-w[mask])
     mask = component == 2
-    values[mask] = np.where(rng.random(int(mask.sum())) < 0.1, 12.0, 0.05)
+    values[mask] = np.where(w[mask] < 0.1, 12.0, 0.05)
     return values
 
 
@@ -62,9 +64,24 @@ def _format_rows_per_row(outcome, inequalities):
     return rows
 
 
-# one row per block, three rows per block, and the whole drawn batch at once
+# one row per block, three rows per block, and every row of a shape at once
 BLOCK_SIZES = {"one-row": lambda leaves: 1, "three-rows": lambda leaves: 3 * leaves,
-               "whole-batch": lambda leaves: 1 << 20}
+               "all-rows": lambda leaves: 1 << 20}
+
+
+def _assert_same_bits(out, reference):
+    """Every number of two cell outcomes agrees bit for bit."""
+    for name in ("f", "F"):
+        np.testing.assert_array_equal(
+            getattr(out, name).view(np.int64), getattr(reference, name).view(np.int64)
+        )
+    for key in reference.deficit:
+        for part in ("lhs", "rhs", "deficit"):
+            np.testing.assert_array_equal(
+                getattr(out, part)[key].view(np.int64),
+                getattr(reference, part)[key].view(np.int64),
+                err_msg=f"{part} {key}",
+            )
 
 
 class TestBatchEvaluation:
@@ -146,7 +163,7 @@ class TestEvaluateCell:
         monkeypatch.setattr(sweeps, "mixture_values", recording)
         keys = ("1.7", "1.8", "1.9")
         out = evaluate_cell(p, q, beta, 40, 5, shapes=[(arity, depth)], inequalities=keys)
-        (values,) = draws  # one shape, one batch: row i is trial i
+        (values,) = draws  # one shape, one row block: row i is trial i
         tree = Tree(arity, depth)
         for trial, row in enumerate(values):
             phi = StepFunction(tree, row)
@@ -168,32 +185,43 @@ class TestRowBlocks:
         for size in BLOCK_SIZES.values():
             monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", size(arity**depth))
             outcomes.append(evaluate_cell(p, q, beta, 40, 8, shapes=[(arity, depth)]))
-        reference = outcomes[-1]
         for out in outcomes[:-1]:
-            for name in ("f", "F"):
-                np.testing.assert_array_equal(
-                    getattr(out, name).view(np.int64), getattr(reference, name).view(np.int64)
-                )
-            for key in reference.deficit:
-                for part in ("lhs", "rhs", "deficit"):
-                    np.testing.assert_array_equal(
-                        getattr(out, part)[key].view(np.int64),
-                        getattr(reference, part)[key].view(np.int64),
-                        err_msg=f"{part} {key}",
-                    )
+            _assert_same_bits(out, outcomes[-1])
 
-    def test_evaluate_cell_several_batches_and_shapes(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "MAX_BATCH_ELEMENTS", 40 * 27)
+    def test_evaluate_cell_several_shapes(self, monkeypatch):
+        # 1 element is one row of every shape; 3 * 27 elements are 3 rows of
+        # (3, 3), 20 of (2, 2) and 1 of (2, 6)
         shapes = [(2, 2), (3, 3), (2, 6)]
         outcomes = []
-        for blocks in (27, 3 * 27, 1 << 20):
+        for blocks in (1, 3 * 27, 1 << 20):
             monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", blocks)
             outcomes.append(evaluate_cell(2.0, 1.5, 1.0, 300, 3, shapes=shapes))
         for out in outcomes[:-1]:
-            for key in out.deficit:
-                np.testing.assert_array_equal(
-                    out.deficit[key].view(np.int64), outcomes[-1].deficit[key].view(np.int64)
-                )
+            _assert_same_bits(out, outcomes[-1])
+
+    def test_trial_rebuilt_from_its_stream_position(self):
+        # after one shape draw and one level fraction per trial, the stream
+        # holds the leaf values shape by shape, trial by trial, one double each
+        p, q, beta, trials, seed, trial = 2.5, 1.75, 0.4, 300, 3, 123
+        shapes = [(2, 2), (3, 3), (2, 6)]
+        keys = ("1.7", "1.8", "1.9")
+        out = evaluate_cell(p, q, beta, trials, seed, shapes=shapes, inequalities=keys)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        shape_idx = rng.choice(len(shapes), size=trials, p=sweeps._shape_probabilities(shapes))
+        s = shape_idx[trial]
+        leaves = [arity**depth for arity, depth in shapes]
+        position = 2 * trials
+        position += sum(int((shape_idx == t).sum()) * leaves[t] for t in range(s))
+        position += int((shape_idx[:trial] == s).sum()) * leaves[s]
+        bit_generator = np.random.PCG64(np.random.SeedSequence(seed)).advance(position)
+        values = mixture_values(np.random.Generator(bit_generator), 1, leaves[s])[0]
+        phi = StepFunction(Tree(*shapes[s]), values)
+        assert s == 1  # a trial after the first shape's rows
+        for key in keys:
+            report = deficit(key, phi, IneqParams(p, q, beta))
+            assert (report.f, report.F) == (out.f[trial], out.F[trial]), key
+            assert report.lhs == out.lhs[key][trial], key
+            assert report.rhs == out.rhs[key][trial], key
 
     def test_moment_lhs_is_one_shared_array(self):
         out = evaluate_cell(2.0, 1.5, 1.0, 20, 3, shapes=[(2, 3)])
