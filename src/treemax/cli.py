@@ -515,7 +515,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: floating-point overflow: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:  # every package error is a ValueError
+    # every package error is a ValueError; a RuntimeError here is a battery
+    # CSV worker that died (BrokenProcessPool)
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

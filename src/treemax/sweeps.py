@@ -4,10 +4,13 @@ These are the batch engines behind the `verify`, `oracle`, and `symmetrize`
 commands: thousands of seeded random step functions per parameter cell, all
 evaluated as matrices (one row per trial) so a whole batch shares each tree
 sweep. The battery evaluates its cells one after another in a single loop,
-so the output depends only on the arguments and the seed.
+so the output depends only on the arguments and the seed; with CSV output,
+one forked worker formats each cell's rows while the loop evaluates the
+next cell.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,6 +248,27 @@ def _fold_cell(summary: dict, outcome: CellOutcome, inequalities) -> None:
             }
 
 
+def _cell_text(outcome: CellOutcome, inequalities) -> str:
+    """All CSV rows of one cell as one string."""
+    return "".join(format_cell_rows(outcome, inequalities))
+
+
+def _format_pool():
+    """One worker process that formats cells. It is forked, so it starts
+    with numpy and the package already imported, and it ignores SIGINT, so
+    an interrupt reaches only the parent, which then joins it."""
+    import multiprocessing
+    import signal
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
+
+
 def run_battery(
     base_seed: int,
     trials_per_cell: int,
@@ -258,14 +282,17 @@ def run_battery(
     minimum deficit, where it happened, the minimum per inequality and the
     violation count (deficits below ``-DEFICIT_SLACK * max(1, |rhs|)``).
 
-    One loop evaluates the cells in order, writes each cell's rows to
-    ``csv_sink`` (any object with ``write``) and folds it into the summary
-    before the next, so one cell's arrays are held at a time. Rows are in
-    cell-major, trial-major, inequality-major order with 17-significant-digit
-    floats, so two runs with the same seed produce byte-identical output.
+    One loop evaluates the cells in order and folds each into the summary.
+    With a ``csv_sink`` (any object with ``write``), one forked worker
+    formats each cell's rows while the loop evaluates the next cell, and the
+    loop writes them in cell order; the last cell, with nothing left to
+    overlap, is formatted in place, so a one-cell battery starts no process.
+    The worker never writes to ``csv_sink`` and is joined before this
+    returns or raises. Rows are in cell-major, trial-major, inequality-major
+    order with 17-significant-digit floats, so two runs with the same seed
+    produce byte-identical output.
     """
-    if cells is None:
-        cells = battery_cells()
+    cells = battery_cells() if cells is None else list(cells)
     if csv_sink is not None:
         write_csv_header(csv_sink, header_lines)
     summary = {
@@ -274,14 +301,24 @@ def run_battery(
         "violations": 0,
         "per_inequality": dict.fromkeys(inequalities, np.inf),
     }
-    for index, (p, q, beta) in enumerate(cells):
-        outcome = evaluate_cell(
-            p, q, beta, trials_per_cell, cell_seed(base_seed, index), shapes, inequalities
-        )
-        if csv_sink is not None:
-            csv_sink.writelines(format_cell_rows(outcome, inequalities))
-        _fold_cell(summary, outcome, inequalities)
-        del outcome  # release this cell before the next is drawn
+    with contextlib.ExitStack() as stack:
+        pool = pending = None  # pending: the previous cell's rows, being formatted
+        for index, (p, q, beta) in enumerate(cells):
+            outcome = evaluate_cell(
+                p, q, beta, trials_per_cell, cell_seed(base_seed, index), shapes, inequalities
+            )
+            if csv_sink is not None:
+                last = index == len(cells) - 1
+                if not last and pool is None:
+                    pool = stack.enter_context(_format_pool())
+                submitted = None if last else pool.submit(_cell_text, outcome, inequalities)
+                if pending is not None:
+                    csv_sink.write(pending.result())
+                pending = submitted
+                if last:
+                    csv_sink.write(_cell_text(outcome, inequalities))
+            _fold_cell(summary, outcome, inequalities)
+            del outcome  # release this cell before the next is drawn
     return summary
 
 

@@ -2,14 +2,20 @@
 
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treemax
+from treemax import sweeps
 from treemax.cli import main, parse_profile, to_json
+from treemax.errors import DomainError, InvariantViolation
 from treemax.rearrange import LineStepFunction, PowerLawFunction
 
 
@@ -192,6 +198,66 @@ class TestVerifyCommand:
         assert summary["violations"] == 0
         rows = out_csv.read_text().strip().split("\n")[2:]
         assert len(rows) == 48 * 5 * 4  # cells x trials x inequalities
+
+
+def _exit_in_worker(outcome, inequalities):
+    """Stands in for ``sweeps._cell_text``: the formatting worker dies."""
+    assert multiprocessing.parent_process() is not None, "formatted in the parent"
+    os._exit(1)
+
+
+class TestCsvWorker:
+    """A battery with CSV output formats its cells in a forked worker; a
+    failure on either side leaves no output file and no process behind."""
+
+    @staticmethod
+    def _grid(tmp_path, capfd):
+        status = main([
+            "verify", "--ineq", "grid", "--trials", "2", "--seed", "3",
+            "--output", str(tmp_path / "grid.csv"), "--summary", str(tmp_path / "grid.json"),
+        ])
+        return status, capfd.readouterr()
+
+    def test_dead_worker_exits_one(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(sweeps, "_cell_text", _exit_in_worker)
+        status, captured = self._grid(tmp_path, capfd)
+        assert status == 1
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "error, expected, prefix",
+        [(DomainError, 1, "error: "), (InvariantViolation, 2, "invariant violation: ")],
+    )
+    def test_failing_cell_joins_the_worker(self, tmp_path, capfd, monkeypatch, error, expected, prefix):
+        self._fail_on_third_cell(monkeypatch, error)
+        status, captured = self._grid(tmp_path, capfd)
+        assert status == expected
+        assert captured.err == f"{prefix}third cell\n"
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_joins_the_worker(self, tmp_path, capfd, monkeypatch):
+        self._fail_on_third_cell(monkeypatch, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self._grid(tmp_path, capfd)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _fail_on_third_cell(monkeypatch, error):
+        evaluate_cell, calls = sweeps.evaluate_cell, []
+
+        def third_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise error("third cell")
+            return evaluate_cell(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "evaluate_cell", third_fails)
 
 
 class TestSharpnessCommand:
@@ -396,3 +462,35 @@ def test_console_script_installed():
     )
     assert result.returncode == 0
     assert "maxtree" in result.stdout
+
+
+def test_pool_modules_load_only_for_a_csv_battery(tmp_path):
+    """``import treemax.cli`` and a battery without CSV, or a one-cell one
+    with CSV, never load the process-pool modules: they start no process and
+    pay no import time. A grid battery with CSV does load them."""
+    code = """if True:
+        import sys
+        import treemax.cli
+
+        def loaded():
+            print(sorted({"concurrent.futures.process", "multiprocessing"} & set(sys.modules)))
+
+        summary, rows = sys.argv[1:]
+        loaded()
+        treemax.cli.main(["verify", "--ineq", "grid", "--trials", "2", "--summary", summary])
+        loaded()
+        treemax.cli.main(["verify", "--ineq", "1.7", "--trials", "2", "--output", rows, "--summary", summary])
+        loaded()
+        treemax.cli.main(["verify", "--ineq", "grid", "--trials", "2", "--output", rows, "--summary", summary])
+        loaded()
+    """
+    src = str(Path(treemax.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "s.json"), str(tmp_path / "v.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[]", "[]", "[]", "['concurrent.futures.process', 'multiprocessing']",
+    ]

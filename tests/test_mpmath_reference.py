@@ -1,0 +1,169 @@
+"""A 40-digit mpmath reference for the extremal curve and the inequality constants.
+
+Every reference takes the float arguments exactly (``mpf(x)`` is the double
+itself) and works at 40 digits, bisecting in mpmath where the package bisects
+in floats, so its own error is far below the float results it checks. The
+tolerances are the claimed ones: 1e-12 for ``omega_p`` and ``bellman_value``,
+a few ulps for the closed forms and for ``t_beta`` off its double root.
+"""
+
+import math
+
+import mpmath
+import pytest
+
+from treemax import bellman_value, beta_family_residual, omega_p
+from treemax.inequalities import IneqParams, constants
+from treemax.sweeps import BATTERY_PS, battery_betas, battery_qs
+
+DPS = 40
+CLOSED_FORM_ULPS = 16  # largest achieved at the battery's parameters: 12.8 (residual, p = 5)
+
+
+def _ulps(value: float, reference) -> float:
+    """Distance of ``value`` from ``reference`` in ulps of the reference."""
+    return float(abs(mpmath.mpf(value) - reference)) / math.ulp(float(reference))
+
+
+def _bisect(go_right, lo, hi):
+    """150 halvings: a bracket of width at most 4 shrinks below 1e-44."""
+    for _ in range(150):
+        mid = (lo + hi) / 2
+        if go_right(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _omega(x: float, p: float):
+    """The root of ``z**(p-1) * (p - (p-1) z) = x`` on [1, p/(p-1)]."""
+    x, p = mpmath.mpf(x), mpmath.mpf(p)
+    return _bisect(lambda z: z ** (p - 1) * (p - (p - 1) * z) >= x, mpmath.mpf(1), p / (p - 1))
+
+
+def _coupling(p, q, beta):
+    return (q - 1) * beta / (beta + 1) ** q + (p - q) / p * (beta + 1) ** (1 - q)
+
+
+def _residual_target(p: float, q: float, beta: float, f: float):
+    """``(q/p) (beta+1)**(1-q) f**p``: the value of ``Jq - A*J0`` at every
+    admissible beta, and its limit at the endpoint."""
+    p, q, beta, f = map(mpmath.mpf, (p, q, beta, f))
+    return q / p * (beta + 1) ** (1 - q) * f**p
+
+
+def _residual_difference(p: float, q: float, beta: float, f: float):
+    """``Jq - A*J0`` of the matched power law, from its two closed forms."""
+    p, q, beta, f = map(mpmath.mpf, (p, q, beta, f))
+    c = f / (beta + 1)
+    one_minus_ap = 1 - beta / (beta + 1) * p
+    j0 = (beta + 1) ** p * c**p / one_minus_ap
+    jq = (beta + 1) ** (p - q) * c**p / one_minus_ap
+    return jq - _coupling(p, q, beta) * j0
+
+
+def _t_beta(p: float, q: float, beta: float):
+    """The root of the envelope's root function above ``t0 = (p-1)/p``; for
+    q = 1 the function vanishes and ``t_beta`` is the limit ``1/(beta+1)``."""
+    p, q, beta = map(mpmath.mpf, (p, q, beta))
+    if q == 1:
+        return 1 / (beta + 1)
+    coupling = _coupling(p, q, beta)
+
+    def root_function(t):
+        return coupling + t ** (q - 1) * ((q - 1) * t - q * (p - 1) / p)
+
+    t0 = (p - 1) / p
+    if root_function(t0) >= 0:
+        return t0
+    hi = mpmath.mpf(1)
+    while root_function(hi) <= 0:
+        hi *= 2
+    return _bisect(lambda t: root_function(t) < 0, t0, hi)
+
+
+def _battery_cells():
+    return [(p, q, beta) for p in BATTERY_PS for q in battery_qs(p) for beta in battery_betas(p)]
+
+
+@pytest.mark.parametrize("p", BATTERY_PS)
+def test_omega_p_within_1e_12(p):
+    xs = (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-6, 1.0)
+    with mpmath.workdps(DPS):
+        errors = [float(abs(omega_p(x, p) - _omega(x, p))) for x in xs]
+    assert max(errors) <= 1e-12, dict(zip(xs, errors))
+
+
+@pytest.mark.parametrize("p", BATTERY_PS)
+def test_bellman_value_within_1e_12(p):
+    """Moment pairs from far inside the feasible set to ``F/f**p = 1 + 1e-6``,
+    and the Jensen boundary at f = 1. At ``F = f**p`` for another f the
+    rounding of ``f**p`` moves the exact pair off the boundary, where
+    ``omega_p`` has an infinite slope: that one rounding moves the exact value
+    by about 1e-8 relative, which no float evaluation of the pair can see."""
+    pairs = [(f, f**p / x) for f in (0.5, 1.0, 3.0) for x in (1e-6, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6)]
+    with mpmath.workdps(DPS):
+        for f, big_f in pairs + [(1.0, 1.0)]:
+            point = bellman_value(p, f, big_f)
+            alpha = _omega(mpmath.mpf(f) ** p / mpmath.mpf(big_f), p)
+            reference = mpmath.mpf(big_f) * alpha**p
+            assert abs(point.alpha - alpha) <= 1e-12, (f, big_f)
+            assert abs(point.value - reference) <= 1e-12 * reference, (f, big_f)
+
+
+@pytest.mark.parametrize("p", BATTERY_PS)
+def test_beta_family_residual_at_the_battery_betas(p):
+    """The three admissible battery betas (the last is the endpoint
+    ``1/(p-1)``, taken by the cancelled product form); ``2/(p-1)`` lies past
+    the endpoint and raises."""
+    with mpmath.workdps(DPS):
+        for q in battery_qs(p):
+            for beta in battery_betas(p)[:3]:
+                for f in (1.0, 3.0):
+                    residual, target = beta_family_residual(p, q, beta, f)
+                    reference = _residual_target(p, q, beta, f)
+                    assert _ulps(residual, reference) <= CLOSED_FORM_ULPS, (q, beta, f)
+                    assert _ulps(target, reference) <= CLOSED_FORM_ULPS, (q, beta, f)
+
+
+@pytest.mark.parametrize("p", BATTERY_PS)
+def test_beta_family_residual_toward_the_endpoint(p):
+    """Below the endpoint the residual is the difference of two closed forms
+    that both grow like ``1/(1 - alpha p)``, so its error grows the same way:
+    within 8 ulps times ``1/(1 - alpha p)`` (5.5 achieved, at p = 5, q = 1).
+    At ``1 - beta (p-1) = 1e-11`` that is a relative error of up to 6e-5."""
+    with mpmath.workdps(DPS):
+        for q in battery_qs(p):
+            for gap in (1e-3, 1e-6, 1e-9, 1e-11):
+                beta = (1.0 - gap) / (p - 1.0)
+                residual, _ = beta_family_residual(p, q, beta, 1.0)
+                reference = _residual_target(p, q, beta, 1.0)
+                # the 40-digit difference of the closed forms is the identity
+                assert abs(_residual_difference(p, q, beta, 1.0) - reference) <= 1e-25 * reference
+                one_minus_ap = 1 - mpmath.mpf(beta) / (mpmath.mpf(beta) + 1) * p
+                assert _ulps(residual, reference) * one_minus_ap <= 8.0, (q, gap)
+
+
+def test_t_beta_off_the_double_root():
+    """Every battery cell except ``beta = 1/(p-1)`` with ``q > 1``."""
+    with mpmath.workdps(DPS):
+        for p, q, beta in _battery_cells():
+            if q > 1.0 and beta == 1.0 / (p - 1.0):
+                continue
+            t_beta = constants(IneqParams(p, q, beta)).t_beta
+            assert _ulps(t_beta, _t_beta(p, q, beta)) <= 4, (p, q, beta)
+
+
+@pytest.mark.parametrize("p", BATTERY_PS)
+def test_t_beta_at_the_double_root(p):
+    """At ``beta = 1/(p-1)`` the root function touches zero at ``t0`` without
+    crossing it, so a float bisection can stop about ``sqrt(eps)`` away from
+    the root (4.8e-9 at p = 2, q = 1.5); the bound is that distance."""
+    beta = 1.0 / (p - 1.0)
+    with mpmath.workdps(DPS):
+        for q in battery_qs(p)[1:]:
+            t_beta = constants(IneqParams(p, q, beta)).t_beta
+            reference = _t_beta(p, q, beta)
+            assert abs(reference - 1 / (mpmath.mpf(beta) + 1)) <= 1e-18
+            assert abs(t_beta - reference) <= 1e-8, q

@@ -1,6 +1,7 @@
 """Batch verification engine and the rearrangement-orbit search."""
 
 import io
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -316,6 +317,29 @@ class TestRunBattery:
         first = lines[2].split(",")
         assert first[0] == "1.2"
         assert first[4] == str(cell_seed(5, 0))
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_csv_is_every_cell_in_order(self, count, monkeypatch):
+        """The rows of each cell in turn, whether the worker or the parent
+        formatted them; only a battery of more than one cell opens the one
+        worker, and none is left running."""
+        opened, format_pool = [], sweeps._format_pool
+        monkeypatch.setattr(sweeps, "_format_pool", lambda: opened.append(1) or format_pool())
+        cells = sweeps.battery_cells()[5 : 5 + count]
+        shapes, keys = [(2, 3), (3, 2)], sweeps.BATTERY_INEQUALITIES
+        sink = io.StringIO()
+        run_battery(
+            base_seed=8, trials_per_cell=9, cells=cells, shapes=shapes, csv_sink=sink,
+            header_lines=("config: test",),
+        )
+        assert multiprocessing.active_children() == []
+        assert len(opened) == (count > 1)
+        expected = io.StringIO()
+        sweeps.write_csv_header(expected, ("config: test",))
+        for index, (p, q, beta) in enumerate(cells):
+            outcome = evaluate_cell(p, q, beta, 9, cell_seed(8, index), shapes, keys)
+            expected.write("".join(format_cell_rows(outcome, keys)))
+        assert sink.getvalue() == expected.getvalue()
 
     def test_different_seeds_differ(self):
         a, b = io.StringIO(), io.StringIO()
