@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bellman import bellman_value, minimize_envelope
 from .errors import DomainError, InvariantViolation, ShapeError
-from .inequalities import IneqParams, extremizer_sweep, hardy_deficit, sharpness_G
+from .inequalities import DEFICIT_SLACK, IneqParams, extremizer_sweep, sharpness_G
 from .maximal import linearize, reconstruct_maximal
 from .rearrange import (
     LineStepFunction,
@@ -34,14 +34,10 @@ from .rearrange import (
 from .sweeps import (
     BATTERY_INEQUALITIES,
     BATTERY_SHAPES,
-    CellOutcome,
     battery_cells,
-    format_cell_rows,
-    mixture_values,
     oracle_sup,
     orbit_sample_max,
     run_battery,
-    write_csv_header,
 )
 from .tree import Tree, load_step_function, moment
 
@@ -173,6 +169,12 @@ def parse_profile(spec: str):
 # ---------------------------------------------------------------------------
 
 
+def _config(args) -> dict:
+    """The echoed configuration: every parsed argument but the output paths,
+    in parser order, so the echo replays the run."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "output", "summary")}
+
+
 def cmd_maximal(args) -> int:
     phi = load_step_function(args.input)
     lin = linearize(phi)
@@ -207,7 +209,7 @@ def cmd_bellman(args) -> int:
     point = bellman_value(args.p, args.f, args.F)
     beta_opt, min_value = minimize_envelope(args.p, args.f, args.F)
     payload = {
-        "config": {"command": "bellman", "p": args.p, "f": args.f, "F": args.F},
+        "config": _config(args),
         "value": point.value,
         "alpha": point.alpha,
         "K": point.K,
@@ -218,70 +220,8 @@ def cmd_bellman(args) -> int:
     return 0
 
 
-def _verify_line_profiles(args, config) -> int:
-    """Deficit sweep of the line inequality over random decreasing profiles.
-
-    ``hardy_deficit`` raises on a deficit below the rounding slack, so a
-    sweep that finishes has no violations.
-    """
-    params = IneqParams(p=args.p, q=args.q, beta=args.beta, f=1.0)
-    if args.trials < 1:
-        raise DomainError(f"trials must be at least 1, got {args.trials}")
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    reports = []
-    for trial in range(args.trials):
-        if trial % 2 == 0:
-            values = np.sort(mixture_values(rng, 1, 64)[0])[::-1]
-            g = LineStepFunction(np.arange(65) / 64.0, values)
-        else:
-            alpha = rng.uniform(0.0, 0.95 / args.p)
-            g = PowerLawFunction.from_mean_and_exponent(rng.uniform(0.5, 2.0), alpha)
-        reports.append(hardy_deficit(g, params))
-
-    def column(name):
-        return np.array([getattr(r, name) for r in reports])
-
-    outcome = CellOutcome(
-        p=args.p,
-        q=args.q,
-        beta=args.beta,
-        seed=args.seed,
-        f=column("f"),
-        F=column("F"),
-        lhs={"1.10": column("lhs")},
-        rhs={"1.10": column("rhs")},
-        deficit={"1.10": column("deficit")},
-    )
-    worst = int(np.argmin(outcome.deficit["1.10"]))
-    summary = {
-        "config": config,
-        "min_deficit": outcome.deficit["1.10"][worst],
-        "argmin": {"ineq": "1.10", "trial": worst},
-        "violations": 0,
-    }
-    with _sink(args.output) as sink:
-        if sink is not None:
-            write_csv_header(sink, (f"config: {json.dumps(config)}",))
-            sink.writelines(format_cell_rows(outcome, ("1.10",)))
-        _emit(to_json(summary), args.summary)
-    return 0
-
-
 def cmd_verify(args) -> int:
-    config = {
-        "command": "verify",
-        "ineq": args.ineq,
-        "p": args.p,
-        "q": args.q,
-        "beta": args.beta,
-        "trials": args.trials,
-        "depth": args.depth,
-        "arity": args.arity,
-        "seed": args.seed,
-    }
-    if args.ineq == "1.10":
-        return _verify_line_profiles(args, config)
-
+    config = _config(args)
     if args.ineq == "grid":
         cells = battery_cells()
         inequalities = BATTERY_INEQUALITIES
@@ -289,7 +229,7 @@ def cmd_verify(args) -> int:
     else:
         cells = [(args.p, args.q, args.beta)]
         inequalities = (args.ineq,)
-        shapes = [(args.arity, args.depth)]
+        shapes = [(args.arity, args.depth)]  # unused by the line inequality 1.10
 
     with _sink(args.output) as sink:
         summary = run_battery(
@@ -306,16 +246,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    config = {
-        "command": "sharpness",
-        "family": args.family,
-        "p": args.p,
-        "q": args.q,
-        "beta": args.beta,
-        "f": args.f,
-        "grid": args.grid,
-        "points": args.points,
-    }
+    config = _config(args)
     params = IneqParams(p=args.p, q=args.q, beta=args.beta, f=args.f)
     if (args.family == "G" or args.grid is None) and args.points < 1:
         raise DomainError(f"points must be at least 1, got {args.points}")
@@ -351,23 +282,14 @@ def cmd_oracle(args) -> int:
         args.p, args.f, args.F, args.depth, args.budget, args.seed, arity=args.arity
     )
     payload = {
-        "config": {
-            "command": "oracle",
-            "p": args.p,
-            "f": args.f,
-            "F": args.F,
-            "depth": args.depth,
-            "arity": args.arity,
-            "budget": args.budget,
-            "seed": args.seed,
-        },
+        "config": _config(args),
         "best_value": best,
         **info,
         "ratio_requested": best / info["bound_requested"],
         "ratio_achieved": best / info["bound_achieved"],
     }
     _emit(to_json(payload), args.output)
-    if best > info["bound_achieved"] * (1.0 + 1e-9):
+    if best > info["bound_achieved"] * (1.0 + DEFICIT_SLACK):
         return 2  # would contradict the closed-form upper bound
     return 0
 
@@ -395,17 +317,7 @@ def cmd_symmetrize(args) -> int:
     roundtrip = bool(np.array_equal(np.sort(back.values), np.sort(cells.values)))
 
     payload = {
-        "config": {
-            "command": "symmetrize",
-            "p": args.p,
-            "f": args.f,
-            "F": args.F,
-            "arity": args.arity,
-            "depth": args.depth,
-            "seeds": args.seeds,
-            "seed": args.seed,
-            "g": args.g,
-        },
+        "config": _config(args),
         "sampled_max": sampled,
         "hardy_target": target,
         "hardy_target_discretized": target_cells,
@@ -413,7 +325,7 @@ def cmd_symmetrize(args) -> int:
         "rearrangement_roundtrip_exact": roundtrip,
     }
     _emit(to_json(payload), args.output)
-    return 0 if roundtrip and sampled <= target_cells * (1.0 + 1e-9) else 2
+    return 0 if roundtrip and sampled <= target_cells * (1.0 + DEFICIT_SLACK) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--f", type=float, default=1.0)
     sp.add_argument("--F", type=float, default=2.0)
-    sp.add_argument("--depth", type=int, default=10)
     sp.add_argument("--arity", type=int, default=2)
+    sp.add_argument("--depth", type=int, default=10)
     sp.add_argument("--seeds", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--g", help="profile override: powerlaw:f=..,alpha=.. or CSV path")

@@ -31,6 +31,12 @@ from .tree import StepFunction
 DEFICIT_SLACK = 1e-9
 
 
+def beyond_slack(deficit, rhs):
+    """True where a deficit is below ``-DEFICIT_SLACK * max(1, |rhs|)``: a
+    genuine violation, not rounding. Scalars or arrays alike."""
+    return deficit < -DEFICIT_SLACK * np.maximum(1.0, np.abs(rhs))
+
+
 @dataclass(frozen=True)
 class IneqParams:
     """Exponents and parameters shared by the inequality family."""
@@ -78,10 +84,11 @@ def root_function(t: float, p: float, q: float, coupling: float) -> float:
 class Constants:
     """All derived constants of one parameter triple (p, q, beta).
 
-    ``t_beta`` is the unique root of :func:`root_function` above ``t0``; for
-    beta <= 1/(p-1) it coincides with ``1/(beta+1)``. For q == 1 the root
-    function degenerates to zero everywhere, so ``t_beta`` carries the
-    continuous-in-q value ``1/(beta+1)``.
+    ``t_beta`` is the unique root of :func:`root_function` at or above
+    ``t0``. ``1/(beta+1)`` is always a root, and it lies at or above ``t0``
+    exactly when beta <= 1/(p-1); past that the root is bisected. For q == 1
+    the root function degenerates to zero everywhere, so ``t_beta`` carries
+    the continuous-in-q value ``1/(beta+1)``.
     """
 
     A: float
@@ -93,11 +100,9 @@ class Constants:
 
 
 def _locate_t_beta(p: float, q: float, coupling: float, beta: float) -> float:
+    """The root above ``t0`` for beta > 1/(p-1), where the root function is
+    negative at ``t0``."""
     t0 = (p - 1.0) / p
-    f_lo = coupling - t0**q  # root_function(t0) simplified
-    if f_lo >= 0.0:
-        # only at beta = 1/(p-1), where the root collides with t0
-        return t0
     hi = max(1.0, 1.0 / (beta + 1.0) + 1.0)
     while root_function(hi, p, q, coupling) <= 0.0:
         hi *= 2.0
@@ -111,8 +116,7 @@ def constants(params: IneqParams) -> Constants:
     p, q, beta = params.p, params.q, params.beta
     coupling = coupling_constant(p, q, beta)
     t0 = (p - 1.0) / p
-    if q == 1.0:
-        # root function is identically zero; keep the q -> 1 limit value
+    if q == 1.0 or beta <= 1.0 / (p - 1.0):
         t_beta = 1.0 / (beta + 1.0)
     else:
         t_beta = _locate_t_beta(p, q, coupling, beta)
@@ -195,15 +199,12 @@ class DeficitReport:
     Jq: float
     params: IneqParams
 
-    def scale(self) -> float:
-        return max(1.0, abs(self.rhs))
-
 
 def _report(inequality, params, rhs, f, big_f, j0, j1, jq) -> DeficitReport:
     """The report of one instance (its lhs is ``J0``), raised as a violation
     when the deficit is below the rounding slack."""
     report = DeficitReport(inequality, j0, rhs, rhs - j0, f, big_f, j0, j1, jq, params)
-    if report.deficit < -DEFICIT_SLACK * report.scale():
+    if beyond_slack(report.deficit, report.rhs):
         raise InvariantViolation(
             f"inequality ({report.inequality}) violated beyond rounding slack: "
             f"lhs={report.lhs!r} rhs={report.rhs!r}"

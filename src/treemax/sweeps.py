@@ -18,8 +18,9 @@ import numpy as np
 from .bellman import bellman_value
 from .errors import DomainError
 from .inequalities import (
-    DEFICIT_SLACK,
     IneqParams,
+    beyond_slack,
+    hardy_deficit,
     right_hand_side,
     tree_moments,
     weak_type_sides,
@@ -188,6 +189,42 @@ def evaluate_cell(
     return out
 
 
+def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellOutcome:
+    """The line inequality (1.10) on ``trials`` random non-increasing
+    profiles from the cell's own generator: even trials are 64 equal pieces
+    of sorted mixture values, odd trials power laws of random mean and
+    exponent. ``hardy_deficit`` raises on a deficit below the rounding
+    slack, so a cell that returns has no violations."""
+    params = IneqParams(p, q, beta)
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    reports = []
+    for trial in range(trials):
+        if trial % 2 == 0:
+            values = np.sort(mixture_values(rng, 1, 64)[0])[::-1]
+            g = LineStepFunction(np.arange(65) / 64.0, values)
+        else:
+            alpha = rng.uniform(0.0, 0.95 / p)
+            g = PowerLawFunction.from_mean_and_exponent(rng.uniform(0.5, 2.0), alpha)
+        reports.append(hardy_deficit(g, params))
+
+    def column(name):
+        return np.array([getattr(r, name) for r in reports])
+
+    return CellOutcome(
+        p=p,
+        q=q,
+        beta=beta,
+        seed=seed,
+        f=column("f"),
+        F=column("F"),
+        lhs={"1.10": column("lhs")},
+        rhs={"1.10": column("rhs")},
+        deficit={"1.10": column("deficit")},
+    )
+
+
 # ---------------------------------------------------------------------------
 # full battery with CSV emission
 # ---------------------------------------------------------------------------
@@ -231,8 +268,7 @@ def _fold_cell(summary: dict, outcome: CellOutcome, inequalities) -> None:
     earliest cell, inequality and trial on a tie."""
     for k in inequalities:
         deficit = outcome.deficit[k]
-        scale = np.maximum(1.0, np.abs(outcome.rhs[k]))
-        summary["violations"] += int((deficit < -DEFICIT_SLACK * scale).sum())
+        summary["violations"] += int(beyond_slack(deficit, outcome.rhs[k]).sum())
         i = int(np.argmin(deficit))
         if deficit[i] < summary["per_inequality"][k]:
             summary["per_inequality"][k] = float(deficit[i])
@@ -281,6 +317,8 @@ def run_battery(
     """Evaluate every cell of the grid and return the summary: the global
     minimum deficit, where it happened, the minimum per inequality and the
     violation count (deficits below ``-DEFICIT_SLACK * max(1, |rhs|)``).
+    ``inequalities=("1.10",)`` evaluates the line inequality on random
+    profiles, and ``shapes`` is then unused.
 
     One loop evaluates the cells in order and folds each into the summary.
     With a ``csv_sink`` (any object with ``write``), one forked worker
@@ -304,8 +342,11 @@ def run_battery(
     with contextlib.ExitStack() as stack:
         pool = pending = None  # pending: the previous cell's rows, being formatted
         for index, (p, q, beta) in enumerate(cells):
-            outcome = evaluate_cell(
-                p, q, beta, trials_per_cell, cell_seed(base_seed, index), shapes, inequalities
+            seed = cell_seed(base_seed, index)
+            outcome = (
+                _line_cell(p, q, beta, trials_per_cell, seed)
+                if inequalities == ("1.10",)
+                else evaluate_cell(p, q, beta, trials_per_cell, seed, shapes, inequalities)
             )
             if csv_sink is not None:
                 last = index == len(cells) - 1

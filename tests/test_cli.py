@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import multiprocessing
@@ -14,7 +15,7 @@ import pytest
 
 import treemax
 from treemax import sweeps
-from treemax.cli import main, parse_profile, to_json
+from treemax.cli import build_parser, main, parse_profile, to_json
 from treemax.errors import DomainError, InvariantViolation
 from treemax.rearrange import LineStepFunction, PowerLawFunction
 
@@ -165,19 +166,39 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "threads" not in json.loads(outputs[0][1])["config"]
 
-    def test_line_inequality_sweep(self, capsys, tmp_path):
+    def test_line_inequality_sweep(self, capsys, tmp_path, monkeypatch):
+        """``--ineq 1.10`` is a one-cell battery: its rows carry the cell's
+        sub-seed, and the summary's argmin replays the worst trial."""
         out_csv = tmp_path / "line.csv"
-        status, out = run_cli(
-            capsys, "verify", "--ineq", "1.10", "--p", "2", "--q", "1.5",
-            "--beta", "0.8", "--trials", "6", "--seed", "3",
-            "--output", str(out_csv),
-        )
+        line = ["verify", "--ineq", "1.10", "--p", "2", "--q", "1.5", "--beta", "0.8",
+                "--trials", "6", "--seed", "3"]
+        status, out = run_cli(capsys, *line, "--output", str(out_csv))
         assert status == 0
         summary = json.loads(out)
         assert summary["violations"] == 0
         rows = out_csv.read_text().strip().split("\n")[2:]
         assert len(rows) == 6
         assert all(r.startswith("1.10,") for r in rows)
+        argmin = summary["argmin"]
+        assert argmin["seed"] == sweeps.cell_seed(3, 0)
+        assert {r.split(",")[4] for r in rows} == {str(argmin["seed"])}
+        replay = sweeps._line_cell(argmin["p"], argmin["q"], argmin["beta"], 6, argmin["seed"])
+        assert replay.deficit["1.10"][argmin["trial"]] == summary["min_deficit"]
+        assert summary["per_inequality"] == {"1.10": summary["min_deficit"]}
+
+        # the line inequality builds no tree, so the tree shape is not read
+        for shape in (["--depth", "40"], ["--arity", "1"]):
+            assert run_cli(capsys, *line, *shape)[0] == 0
+
+        def violated(*args):
+            raise InvariantViolation("forced line violation")
+
+        monkeypatch.setattr(sweeps, "hardy_deficit", violated)
+        rows_path = tmp_path / "violated.csv"
+        status = main(line + ["--output", str(rows_path)])
+        assert status == 2
+        assert capsys.readouterr().err == "invariant violation: forced line violation\n"
+        assert list(tmp_path.iterdir()) == [out_csv]
 
     def test_weak_type_cell(self, capsys):
         status, out = run_cli(
@@ -198,6 +219,43 @@ class TestVerifyCommand:
         assert summary["violations"] == 0
         rows = out_csv.read_text().strip().split("\n")[2:]
         assert len(rows) == 48 * 5 * 4  # cells x trials x inequalities
+
+
+CONFIG_RUNS = {
+    "maximal": ["--input", "phi.csv"],
+    "bellman": ["--p", "3", "--f", "1", "--F", "2"],
+    "verify": ["--ineq", "1.7", "--trials", "2", "--depth", "2"],
+    "sharpness": ["--family", "G", "--p", "2", "--points", "2"],
+    "oracle": ["--p", "2", "--f", "1", "--F", "2", "--depth", "3", "--budget", "2"],
+    "symmetrize": ["--depth", "3", "--seeds", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_RUNS))
+def test_config_echoes_every_option_in_parser_order(command, capsys, tmp_path, monkeypatch):
+    """The echoed ``config`` holds the command and every option of its
+    parser but ``--output``/``--summary``, in parser order; ``maximal``
+    echoes the arity and depth it read from its file."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(CONFIG_RUNS)
+    options = [
+        action.dest
+        for action in commands.choices[command]._actions
+        if action.dest not in ("help", "output", "summary")
+    ]
+    if command == "maximal":
+        assert options == ["input", "p"]
+        options = ["input", "arity", "depth", "p"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.csv").write_text(GOLDEN_PHI)
+    status, out = run_cli(capsys, command, *CONFIG_RUNS[command])
+    assert status == 0
+    if out.startswith("# config: "):
+        config = json.loads(out.split("\n", 1)[0][len("# config: "):])
+    else:
+        config = json.loads(out)["config"]
+    assert list(config) == ["command", *options]
+    assert config["command"] == command
 
 
 def _exit_in_worker(outcome, inequalities):

@@ -29,7 +29,7 @@ CASES = {
     "verify-1.10": (
         "verify --ineq 1.10 --p 2 --q 1.5 --beta 0.8 --trials 12 --seed 3"
         " --output rows.csv --summary summary.json",
-        "c583c9cfb7f83d17b4b554681ec0f41d6c6d8d96d25a42777c84e7d44bddfcb0",
+        "b8d6088ee5b0d259e8ebdf2accab5d0fe84f550f4e1c6ca6733314d086a491af",
     ),
     # arity 9 averages its levels through numpy's mean, arity 3 through the
     # explicit child sum; p=5, q=3 is where an array power ``v**q`` would
@@ -45,7 +45,7 @@ CASES = {
     "verify-1.10-generic-q": (
         "verify --ineq 1.10 --p 5 --q 3 --beta 0.2 --trials 12 --seed 4"
         " --output rows.csv --summary summary.json",
-        "dae1d12984ba0c89d28f16cc854cfa35adca80cb6cfc9a9b6a71a4e420b3823d",
+        "95feb08bf28c8a2ed5161bc47f819780daea612c29ac44e2aa673198d42318af",
     ),
     # p=12: every step piece stops at its first bisection, since the
     # tolerance scales with the integral of g**p (symmetrize-refined below
@@ -53,7 +53,7 @@ CASES = {
     "verify-1.10-refined": (
         "verify --ineq 1.10 --p 12 --q 4 --beta 0.3 --trials 6 --seed 0"
         " --output rows.csv --summary summary.json",
-        "2e7a8ae1ad164d031df6d3745b8a8d62ee3f52397b550f1ed2347876b7f9dde9",
+        "554576f8a3741bc4ac7544bc4af7512e1b53cb28b8d514ea8710890141cbae60",
     ),
     # 24 rows of 2**14 leaves, drawn and evaluated in several row blocks
     "verify-1.8-row-blocks": (

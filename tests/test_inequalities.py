@@ -21,6 +21,9 @@ from treemax import (
     sharpness_G,
 )
 
+from treemax.errors import InvariantViolation
+from treemax.inequalities import _report, beyond_slack
+
 from conftest import random_step_function
 
 
@@ -180,7 +183,17 @@ class TestTreeDeficits:
             )
             for ineq in ("1.7", "1.8", "1.9"):
                 report = deficit(ineq, phi, IneqParams(p=p, q=q, beta=beta))
-                assert report.deficit >= -1e-9 * report.scale()
+                assert report.deficit >= -1e-9 * max(1.0, abs(report.rhs))
+
+    def test_slack_scales_with_rhs_floored_at_one(self):
+        # a violation is a deficit below -1e-9 * max(1, |rhs|), for the battery
+        # counts and the single-instance reports alike
+        assert beyond_slack(-1.2e-9, 0.5) and not beyond_slack(-0.8e-9, 0.5)
+        assert beyond_slack(-4e-9, -3.0) and not beyond_slack(-2e-9, -3.0)
+        rows = beyond_slack(np.array([-0.8e-9, -2e-9, np.nan]), np.array([0.5, 3.0, 1.0]))
+        assert rows.tolist() == [False, False, False]
+        with pytest.raises(InvariantViolation):
+            _report("1.7", IneqParams(p=2.0), 0.5, 1.0, 1.0, 0.5 + 1.2e-9, 0.0, 0.0)
 
 
 class TestHardyDeficits:
@@ -235,7 +248,7 @@ class TestHardyDeficits:
             q = float(rng.uniform(1.0, p))
             beta = float(rng.uniform(0.1, 2.0))
             report = hardy_deficit(g, IneqParams(p=p, q=q, beta=beta))
-            assert report.deficit >= -1e-9 * report.scale()
+            assert report.deficit >= -1e-9 * max(1.0, abs(report.rhs))
 
 
 class TestSharpnessG:
