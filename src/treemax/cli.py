@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bellman import bellman_value, minimize_envelope
 from .errors import DomainError, InvariantViolation, ShapeError
-from .inequalities import DEFICIT_SLACK, IneqParams, extremizer_sweep, sharpness_G
+from .inequalities import IneqParams, beyond_slack, extremizer_sweep, sharpness_G
 from .maximal import linearize, reconstruct_maximal
 from .rearrange import (
     LineStepFunction,
@@ -289,9 +289,8 @@ def cmd_oracle(args) -> int:
         "ratio_achieved": best / info["bound_achieved"],
     }
     _emit(to_json(payload), args.output)
-    if best > info["bound_achieved"] * (1.0 + DEFICIT_SLACK):
-        return 2  # would contradict the closed-form upper bound
-    return 0
+    bound = info["bound_achieved"]
+    return 2 if beyond_slack(bound - best, bound) else 0  # above the closed-form bound
 
 
 def cmd_symmetrize(args) -> int:
@@ -325,7 +324,7 @@ def cmd_symmetrize(args) -> int:
         "rearrangement_roundtrip_exact": roundtrip,
     }
     _emit(to_json(payload), args.output)
-    return 0 if roundtrip and sampled <= target_cells * (1.0 + DEFICIT_SLACK) else 2
+    return 0 if roundtrip and not beyond_slack(target_cells - sampled, target_cells) else 2
 
 
 # ---------------------------------------------------------------------------

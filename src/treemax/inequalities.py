@@ -241,20 +241,27 @@ def deficit(inequality: str, phi: StepFunction, params: IneqParams) -> DeficitRe
     return _report(inequality, params, float(rhs[0]), *(float(x[0]) for x in moments))
 
 
-def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
-    """Deficit of the line inequality (running averages instead of the tree
-    maximal operator) for a non-increasing profile."""
+def line_moments(g: Profile, p: float, q: float):
+    """``f, F, J0, J1, Jq`` of a non-increasing profile: the integrals of
+    ``g``, ``g**p`` and ``(running average)**p``, and :func:`hardy_moment`
+    at 1 and ``q``. The line counterpart of :func:`tree_moments`."""
     if isinstance(g, LineStepFunction) and not g.is_non_increasing():
         raise DomainError("profile must be non-increasing")
-    p, q = params.p, params.q
-    params = _resolve_f(params, g.integral())
-    f = params.f
-
     j0 = hardy_power(g, p)
     j1 = hardy_moment(g, p, 1.0)
     jq = hardy_moment(g, p, q)
-    rhs = right_hand_side("1.9", p, q, params.beta, f**p, j1, jq)
-    return _report("1.10", params, rhs, f, g.power_integral(p), j0, j1, jq)
+    return g.integral(), g.power_integral(p), j0, j1, jq
+
+
+def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
+    """Deficit of the line inequality (running averages instead of the tree
+    maximal operator) for a non-increasing profile. With ``params.f`` the
+    profile's mean, this is a battery (1.10) row bit for bit."""
+    p, q = params.p, params.q
+    f, big_f, j0, j1, jq = line_moments(g, p, q)
+    params = _resolve_f(params, f)
+    rhs = right_hand_side("1.9", p, q, params.beta, params.f**p, j1, jq)
+    return _report("1.10", params, rhs, params.f, big_f, j0, j1, jq)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import DomainError
 from .inequalities import (
     IneqParams,
     beyond_slack,
-    hardy_deficit,
+    line_moments,
     right_hand_side,
     tree_moments,
     weak_type_sides,
@@ -193,13 +193,13 @@ def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellO
     """The line inequality (1.10) on ``trials`` random non-increasing
     profiles from the cell's own generator: even trials are 64 equal pieces
     of sorted mixture values, odd trials power laws of random mean and
-    exponent. ``hardy_deficit`` raises on a deficit below the rounding
-    slack, so a cell that returns has no violations."""
-    params = IneqParams(p, q, beta)
+    exponent. Each row is :func:`hardy_deficit`'s at the profile's mean,
+    unjudged: the battery counts the violations."""
+    IneqParams(p, q, beta)  # validates the parameter triple
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    reports = []
+    rows = []
     for trial in range(trials):
         if trial % 2 == 0:
             values = np.sort(mixture_values(rng, 1, 64)[0])[::-1]
@@ -207,22 +207,12 @@ def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellO
         else:
             alpha = rng.uniform(0.0, 0.95 / p)
             g = PowerLawFunction.from_mean_and_exponent(rng.uniform(0.5, 2.0), alpha)
-        reports.append(hardy_deficit(g, params))
-
-    def column(name):
-        return np.array([getattr(r, name) for r in reports])
-
-    return CellOutcome(
-        p=p,
-        q=q,
-        beta=beta,
-        seed=seed,
-        f=column("f"),
-        F=column("F"),
-        lhs={"1.10": column("lhs")},
-        rhs={"1.10": column("rhs")},
-        deficit={"1.10": column("deficit")},
-    )
+        f, big_f, j0, j1, jq = line_moments(g, p, q)
+        # a scalar power per trial: the array power may round one ulp apart
+        rows.append((f, big_f, j0, j1, jq, f**p))
+    f, big_f, j0, j1, jq, fp = np.array(rows).T
+    rhs = right_hand_side("1.9", p, q, beta, fp, j1, jq)
+    return CellOutcome(p, q, beta, seed, f, big_f, {"1.10": j0}, {"1.10": rhs}, {"1.10": rhs - j0})
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +306,10 @@ def run_battery(
 ) -> dict:
     """Evaluate every cell of the grid and return the summary: the global
     minimum deficit, where it happened, the minimum per inequality and the
-    violation count (deficits below ``-DEFICIT_SLACK * max(1, |rhs|)``).
-    ``inequalities=("1.10",)`` evaluates the line inequality on random
-    profiles, and ``shapes`` is then unused.
+    violation count (rows :func:`beyond_slack` calls violations; they are
+    written and can be the argmin like any other row). ``inequalities=
+    ("1.10",)`` evaluates the line inequality on random profiles, and
+    ``shapes`` is then unused.
 
     One loop evaluates the cells in order and folds each into the summary.
     With a ``csv_sink`` (any object with ``write``), one forked worker

@@ -178,10 +178,10 @@ def load_step_function(path) -> StepFunction:
             raise ShapeError(f"{path}: missing arity,depth line")
         header = lines[0]
     try:
-        arity_s, depth_s = header.split(",")
-        tree = Tree(int(arity_s), int(depth_s))
+        arity, depth = (int(s) for s in header.split(","))
     except ValueError as exc:
         raise ShapeError(f"{path}: bad header line {header!r}") from exc
+    tree = Tree(arity, depth)
     try:
         values = np.array([float(s) for s in lines[1:]], dtype=np.float64)
     except ValueError as exc:

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 import treemax
-from treemax import sweeps
+from treemax import cli, sweeps
 from treemax.cli import build_parser, main, parse_profile, to_json
 from treemax.errors import DomainError, InvariantViolation
-from treemax.rearrange import LineStepFunction, PowerLawFunction
+from treemax.inequalities import beyond_slack
+from treemax.rearrange import LineStepFunction, PowerLawFunction, hardy_power
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -119,6 +120,25 @@ class TestMaximalCommand:
         status, _ = run_cli(capsys, "maximal", "--input", str(tmp_path / "nope.csv"))
         assert status == 1
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("2,30", "arity**depth = 2**30 exceeds the node budget 16777216"),
+            ("1,3", "arity must be >= 2, got 1"),
+            ("2,-1", "depth must be >= 0, got -1"),
+            ("2,x", "{path}: bad header line '2,x'"),
+            ("2,3,4", "{path}: bad header line '2,3,4'"),
+        ],
+    )
+    def test_header_errors_keep_their_message(self, capsys, tmp_path, header, message):
+        """A header that parses but names no valid tree reports the tree's
+        own error; only a header that does not parse is a bad header."""
+        path = tmp_path / "phi.csv"
+        path.write_text(f"{header}\n1\n")
+        status = main(["maximal", "--input", str(path)])
+        assert status == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
 
 class TestVerifyCommand:
     def test_single_cell_rows(self, capsys, tmp_path):
@@ -166,7 +186,7 @@ class TestVerifyCommand:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "threads" not in json.loads(outputs[0][1])["config"]
 
-    def test_line_inequality_sweep(self, capsys, tmp_path, monkeypatch):
+    def test_line_inequality_sweep(self, capsys, tmp_path):
         """``--ineq 1.10`` is a one-cell battery: its rows carry the cell's
         sub-seed, and the summary's argmin replays the worst trial."""
         out_csv = tmp_path / "line.csv"
@@ -190,15 +210,53 @@ class TestVerifyCommand:
         for shape in (["--depth", "40"], ["--arity", "1"]):
             assert run_cli(capsys, *line, *shape)[0] == 0
 
-        def violated(*args):
-            raise InvariantViolation("forced line violation")
+    @pytest.mark.parametrize("ineq", ["1.2", "1.7", "1.8", "1.9", "1.10", "grid"])
+    def test_violating_rows_are_written_and_counted(self, capfd, tmp_path, monkeypatch, ineq):
+        """A violating row of any inequality is written, counted and named by
+        ``argmin`` like every other row, and the run exits 2 with both files
+        in place. The first and last rows of the first right-hand-side batch
+        get a negative bound."""
+        forced = []
 
-        monkeypatch.setattr(sweeps, "hardy_deficit", violated)
-        rows_path = tmp_path / "violated.csv"
-        status = main(line + ["--output", str(rows_path)])
+        def forcing(real, rhs_of):
+            def forced_rhs(*args):
+                out = real(*args)
+                rhs = rhs_of(out)
+                if not forced:
+                    for at, bound in zip(sorted({0, rhs.size - 1}), (-1e6, -1e3)):
+                        rhs[at] = bound
+                        forced.append(bound)
+                return out
+
+            return forced_rhs
+
+        if ineq == "1.2":
+            patched = forcing(sweeps.weak_type_sides, lambda sides: sides[1])
+            monkeypatch.setattr(sweeps, "weak_type_sides", patched)
+        else:
+            patched = forcing(sweeps.right_hand_side, lambda rhs: rhs)
+            monkeypatch.setattr(sweeps, "right_hand_side", patched)
+        rows_path, summary_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        status = main([
+            "verify", "--ineq", ineq, "--trials", "6", "--depth", "3", "--seed", "5",
+            "--output", str(rows_path), "--summary", str(summary_path),
+        ])
         assert status == 2
-        assert capsys.readouterr().err == "invariant violation: forced line violation\n"
-        assert list(tmp_path.iterdir()) == [out_csv]
+        assert capfd.readouterr() == ("", "")
+        summary = json.loads(summary_path.read_text())
+        rows = [row.split(",") for row in rows_path.read_text().splitlines()[2:]]
+        assert len(rows) == (48 * 6 * 4 if ineq == "grid" else 6)
+        assert summary["violations"] == len(forced) >= 1
+        assert sum(float(row[8]) in forced for row in rows) == len(forced)
+        trials, worst = {}, None
+        for key, p, q, beta, seed, *_, rhs, deficit in rows:
+            trial = trials[key, seed] = trials.get((key, seed), -1) + 1
+            if float(rhs) == -1e6:
+                worst = {"ineq": key, "p": float(p), "q": float(q), "beta": float(beta),
+                         "seed": int(seed), "trial": trial}
+                assert summary["min_deficit"] == float(deficit)
+        assert summary["argmin"] == worst
+        assert summary["per_inequality"][worst["ineq"]] == summary["min_deficit"]
 
     def test_weak_type_cell(self, capsys):
         status, out = run_cli(
@@ -372,6 +430,37 @@ class TestOracleCommand:
         assert payload["best_value"] <= payload["bound_achieved"] * (1 + 1e-9)
         assert payload["ratio_achieved"] <= 1 + 1e-9
         assert payload["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("command", ["oracle", "symmetrize"])
+@pytest.mark.parametrize("f, big_f", [(1.0, 2.0), (0.3, 0.18)])  # bound above 1, below 1
+@pytest.mark.parametrize("excess", [0.9e-9, 1.1e-9])  # times max(1, bound)
+def test_orbit_verdict_is_beyond_slack(command, f, big_f, excess, capsys, monkeypatch):
+    """``oracle`` and ``symmetrize`` exit 2 exactly when ``beyond_slack``
+    calls the value's excess over its bound a violation."""
+
+    def above(bound):
+        return bound + excess * max(1.0, bound)
+
+    if command == "oracle":
+        real = cli.oracle_sup
+
+        def oracle(*args, **kwargs):
+            info = real(*args, **kwargs)[1]
+            return above(info["bound_achieved"]), info
+
+        monkeypatch.setattr(cli, "oracle_sup", oracle)
+        extra, keys = ["--budget", "2"], ("bound_achieved", "best_value")
+    else:
+        monkeypatch.setattr(cli, "orbit_sample_max", lambda cells, *_: above(hardy_power(cells, 2.0)))
+        extra, keys = ["--seeds", "2"], ("hardy_target_discretized", "sampled_max")
+    status, out = run_cli(
+        capsys, command, "--p", "2", "--f", str(f), "--F", str(big_f), "--depth", "3", *extra
+    )
+    bound, value = (json.loads(out)[key] for key in keys)
+    assert (bound > 1.0) == (f == 1.0)
+    assert bool(beyond_slack(bound - value, bound)) == (excess > 1e-9)
+    assert status == (2 if excess > 1e-9 else 0)
 
 
 class TestSymmetrizeCommand:

@@ -10,12 +10,14 @@ from treemax import (
     DomainError,
     IneqParams,
     InfeasibleMomentsError,
+    LineStepFunction,
     PowerLawFunction,
     StepFunction,
     Tree,
     bellman_value,
     deficit,
     discretize,
+    hardy_deficit,
     hardy_power,
     maximal_function,
     oracle_sup,
@@ -23,6 +25,7 @@ from treemax import (
     run_battery,
 )
 from treemax import sweeps
+from treemax.inequalities import line_moments
 from treemax.sweeps import (
     CellOutcome,
     _orbit_values,
@@ -172,6 +175,30 @@ class TestEvaluateCell:
                 report = deficit(key, phi, IneqParams(p, q, beta))
                 assert report.lhs == out.lhs[key][trial], (key, trial)
                 assert report.rhs == out.rhs[key][trial], (key, trial)
+
+    @pytest.mark.parametrize("p", [2.5, 12.0])
+    @pytest.mark.parametrize("q_kind", ["one", "mid", "p"])
+    def test_line_rows_match_hardy_deficit(self, monkeypatch, p, q_kind):
+        # hardy_deficit at a profile's own mean is the one-row case of a
+        # (1.10) cell: it reproduces every column of every row bit for bit
+        beta = 0.4
+        q = {"one": 1.0, "mid": (1.0 + p) / 2.0, "p": p}[q_kind]
+        profiles = []
+
+        def recording(g, *args):
+            profiles.append(g)
+            return line_moments(g, *args)
+
+        monkeypatch.setattr(sweeps, "line_moments", recording)
+        out = sweeps._line_cell(p, q, beta, 12, 5)
+        assert [type(g) for g in profiles] == [LineStepFunction, PowerLawFunction] * 6
+        assert {g.piece_count for g in profiles[::2]} == {64}
+        for trial, g in enumerate(profiles):
+            report = hardy_deficit(g, IneqParams(p, q, beta, f=g.integral()))
+            columns = [out.f, out.F, out.lhs["1.10"], out.rhs["1.10"], out.deficit["1.10"]]
+            got = np.array([column[trial] for column in columns])
+            want = np.array([report.f, report.F, report.lhs, report.rhs, report.deficit])
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRowBlocks:
