@@ -300,12 +300,7 @@ def cmd_symmetrize(args) -> int:
     else:
         point = bellman_value(args.p, args.f, args.F)
         profile = PowerLawFunction.self_similar(args.f, point.alpha)
-    cells = (
-        profile
-        if isinstance(profile, LineStepFunction)
-        and profile.piece_count == tree.leaf_count
-        else discretize(profile, tree.leaf_count)
-    )
+    cells = discretize(profile, tree.leaf_count)
     target = hardy_power(profile, args.p)
     target_cells = hardy_power(cells, args.p)
     sampled = orbit_sample_max(cells, tree, args.p, args.seeds, args.seed)

@@ -18,7 +18,7 @@ from .tree import StepFunction, Tree
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
 _REL_TOL = 1e-10  # a bisection that moves a panel by at most this times the scale stops
 _MAX_SPLITS = 24  # a panel this many bisections deep is accepted as it is
-_PANEL_ROWS = 1 << 12  # Gauss panels per batch: a ~1 MB node-value temporary
+_PANEL_ROWS = 1 << 12  # Gauss panels per _gauss_panels call: a ~1 MB node-value temporary
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,8 @@ def discretize(g, pieces: int) -> LineStepFunction:
     """Replace ``g`` by its exact cell averages on ``pieces`` equal cells.
 
     Averaging preserves the integral exactly and can only shrink p-th
-    moments, so discretized profiles approach the original from below.
+    moments, so discretized profiles approach the original from below. A step
+    profile already on those cells (to 1e-12) is returned as it is.
     """
     if pieces < 1:
         raise DomainError(f"need at least one piece, got {pieces}")
@@ -151,6 +152,8 @@ def discretize(g, pieces: int) -> LineStepFunction:
         primitive = g.c * edges ** (1.0 - g.a) / (1.0 - g.a)
         cell_means = np.diff(primitive) * pieces
     elif isinstance(g, LineStepFunction):
+        if g.piece_count == pieces and np.max(np.abs(g.breakpoints - edges)) <= 1e-12:
+            return g
         prefix = g.prefix_integrals()
         idx = np.clip(
             np.searchsorted(g.breakpoints, edges, side="left") - 1,
@@ -206,45 +209,41 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
     """Integral of ``weight * (v + offset/x)**r`` over every row's ``[lo, hi]``.
 
     A 32-node Gauss panel is bisected until that moves it by at most
-    ``_REL_TOL * scale`` or it is ``_MAX_SPLITS`` deep, and a row's accepted
-    ``left + right`` values are added right to left from 0.0, as a depth-first
-    stack pushing the right half last would. Each round bisects the rightmost
-    ``_PANEL_ROWS`` open panels and adds the accepted ones no open panel lies
-    right of, so the panels in hand stay bounded however deep a row refines.
+    ``_REL_TOL * scale`` or it is ``_MAX_SPLITS`` deep. All open panels of one
+    depth are bisected together, and at the end a row's accepted ``left + right``
+    values are added right to left from 0.0, as a depth-first stack pushing the
+    right half last would, so neither the levels nor the batches change a bit.
     """
 
     def gauss(a, b, row):
-        k = row.astype(np.intp)
-        return _gauss_panels(a, b, v[k], offset[k], weight[k], r)
+        out = np.empty(a.size)
+        for s in range(0, a.size, _PANEL_ROWS):
+            cut, k = slice(s, s + _PANEL_ROWS), row[s : s + _PANEL_ROWS]
+            out[cut] = _gauss_panels(a[cut], b[cut], v[k], offset[k], weight[k], r)
+        return out
 
-    n = lo.size
-    # an open panel is a column (row, start, width, lo, hi, Gauss value); start and
-    # width count 2**-_MAX_SPLITS of the row's interval, integers exact in float64
-    todo = np.array((np.arange(n), np.zeros(n), np.full(n, 2.0**_MAX_SPLITS), lo, hi, np.empty(n)))
-    for chunk in np.split(todo, range(_PANEL_ROWS, n, _PANEL_ROWS), axis=1):  # views of todo
-        chunk[5] = gauss(chunk[3], chunk[4], chunk[0])
-    done = np.empty((3, 0))  # accepted (row, start, left + right), not yet added
-    total = [0.0] * n
-    while todo.shape[1]:
-        cut = max(todo.shape[1] - _PANEL_ROWS, 0)
-        order = np.argpartition(todo[1], cut)
-        todo, (row, start, width, a, b, estimate) = todo[:, order[:cut]], todo[:, order[cut:]]
+    # an open panel is (row, start, a, b, Gauss value); start counts 2**-_MAX_SPLITS
+    # of the row's interval, so it orders a row's panels exactly
+    row, start, a, b = np.arange(lo.size), np.zeros(lo.size, dtype=np.int64), lo, hi
+    estimate = gauss(a, b, row)
+    accepted = []  # (row, start, left + right) of each depth
+    for depth in range(_MAX_SPLITS + 1):
         mid = 0.5 * (a + b)
         left, right = gauss(a, mid, row), gauss(mid, b, row)
         split = left + right
-        ok = (np.abs(split - estimate) <= _REL_TOL * scale) | (width == 1.0)
-        half = 0.5 * width
-        todo = np.concatenate((todo, np.array((row, start, half, a, mid, left))[:, ~ok],
-                               np.array((row, start + half, half, mid, b, right))[:, ~ok]), axis=1)
-        done = np.concatenate((done, np.array((row, start, split))[:, ok]), axis=1)
-        edge = np.full(n, -1.0)  # start of each row's rightmost open panel
-        np.maximum.at(edge, todo[0].astype(np.intp), todo[1])
-        final = done[1] > edge[done[0].astype(np.intp)]
-        ready, done = done[:, final], done[:, ~final]
-        ready = ready[:, np.lexsort((-ready[1], ready[0]))]
-        for i, value in zip(ready[0].astype(np.intp).tolist(), ready[2].tolist()):
-            total[i] += value  # one float at a time: a pairwise sum rounds apart
-    return np.array(total)
+        ok = (np.abs(split - estimate) <= _REL_TOL * scale) | (depth == _MAX_SPLITS)
+        accepted.append((row[ok], start[ok], split[ok]))
+        if ok.all():
+            break
+        keep, half = ~ok, 1 << (_MAX_SPLITS - depth - 1)
+        row, start = np.tile(row[keep], 2), np.concatenate((start[keep], start[keep] + half))
+        a, b = np.concatenate((a[keep], mid[keep])), np.concatenate((mid[keep], b[keep]))
+        estimate = np.concatenate((left[keep], right[keep]))
+    row, start, value = (np.concatenate(column) for column in zip(*accepted))
+    order = np.lexsort((-start, row))
+    total = np.zeros(lo.size)
+    np.add.at(total, row[order], value[order])  # one float at a time: a pairwise sum rounds apart
+    return total
 
 
 def hardy_moment(g, p: float, q: float) -> float:

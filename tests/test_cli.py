@@ -18,7 +18,7 @@ from treemax import cli, sweeps
 from treemax.cli import build_parser, main, parse_profile, to_json
 from treemax.errors import DomainError, InvariantViolation
 from treemax.inequalities import beyond_slack
-from treemax.rearrange import LineStepFunction, PowerLawFunction, hardy_power
+from treemax.rearrange import LineStepFunction, PowerLawFunction, discretize, hardy_power
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -482,6 +482,27 @@ class TestSymmetrizeCommand:
         assert status == 0
         payload = json.loads(out)
         assert payload["ratio"] < 1.0
+
+    @pytest.mark.parametrize(
+        "rows, as_is",
+        [
+            # four pieces of unequal width on a four-leaf tree: discretized
+            ("t,value\n0.1,5\n0.5,2\n0.7,1\n1.0,0.5\n", False),
+            # four pieces on the four leaf cells: used as they are
+            ("t,value\n0.25,5\n0.5,2\n0.75,1\n1.0,0.5\n", True),
+        ],
+    )
+    def test_csv_profile_with_leaf_count_pieces(self, capsys, tmp_path, rows, as_is):
+        path = tmp_path / "prof.csv"
+        path.write_text(rows)
+        status, out = run_cli(capsys, "symmetrize", "--depth", "2", "--seeds", "3", "--g", str(path))
+        assert status == 0
+        g = parse_profile(str(path))
+        cells = discretize(g, 4)
+        assert (cells is g) == as_is
+        expected = np.float64(hardy_power(cells, 2.0))
+        got = np.float64(json.loads(out)["hardy_target_discretized"])
+        assert got.view(np.int64) == expected.view(np.int64)
 
 
 class TestErrorPaths:
