@@ -222,6 +222,9 @@ def cmd_bellman(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _config(args)
+    # every echoed option is validated, whether or not this mode reads it
+    IneqParams(args.p, args.q, args.beta)
+    Tree(args.arity, args.depth)
     if args.ineq == "grid":
         cells = battery_cells()
         inequalities = BATTERY_INEQUALITIES

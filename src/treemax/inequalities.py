@@ -249,7 +249,7 @@ def line_moments(g: Profile, p: float, q: float):
         raise DomainError("profile must be non-increasing")
     j0 = hardy_power(g, p)
     j1 = hardy_moment(g, p, 1.0)
-    jq = hardy_moment(g, p, q)
+    jq = j1 if q == 1.0 else hardy_moment(g, p, q)
     return g.integral(), g.power_integral(p), j0, j1, jq
 
 
@@ -306,25 +306,18 @@ def beta_family_residual(p: float, q: float, beta: float, f: float) -> tuple[flo
     """Residual ``Jq - A*J0`` of the matched power-law profile, with its
     closed-form target ``(q/p) (beta+1)**(1-q) f**p``.
 
-    The two integrals diverge together as ``beta -> 1/(p-1)``; their
-    difference has a removable singularity there, evaluated by the cancelled
-    product form. Interior betas use the honest difference of closed forms.
+    Both integrals carry the factor ``1/(1 - alpha p)``, which diverges as
+    ``beta -> 1/(p-1)``; it cancels in the difference, so the residual is
+    the product form ``(q/p) c**p (beta+1)**(p-q+1)`` with ``c = f/(beta+1)``
+    at every admissible beta, the endpoint included, and no digits are lost
+    to a subtraction.
     """
     _check_p(p)
     if not _beta_admissible(beta, p):
         raise DomainError(f"beta must lie in (0, 1/(p-1)], got {beta}")
-    alpha = beta / (beta + 1.0)
     c = f / (beta + 1.0)  # = f * (1 - alpha)
     target = (q / p) * (beta + 1.0) ** (1.0 - q) * f**p
-    one_minus_ap = 1.0 - alpha * p
-    if one_minus_ap <= 1e-12:
-        # endpoint: both integrals are infinite, the difference survives
-        residual = (q / p) * c**p * (beta + 1.0) ** (p - q + 1.0)
-        return residual, target
-    coupling = coupling_constant(p, q, beta)
-    j0 = (beta + 1.0) ** p * c**p / one_minus_ap
-    jq = (beta + 1.0) ** (p - q) * c**p / one_minus_ap
-    return jq - coupling * j0, target
+    return (q / p) * c**p * (beta + 1.0) ** (p - q + 1.0), target
 
 
 def extremizer_sweep(

@@ -101,7 +101,8 @@ def _row_blocks(rows: int, leaves: int) -> list[slice]:
 
 @dataclass
 class CellOutcome:
-    """Trial-ordered raw numbers of one parameter cell.
+    """Trial-ordered raw numbers of one parameter cell; a row's deficit is
+    ``rhs - lhs`` in float64, computed where it is read.
 
     The (1.7), (1.8) and (1.9) left-hand sides are all ``J0``, so their
     ``lhs`` entries are one shared array: writing into one writes into all.
@@ -115,7 +116,6 @@ class CellOutcome:
     F: np.ndarray = field(repr=False)
     lhs: dict = field(repr=False, default_factory=dict)
     rhs: dict = field(repr=False, default_factory=dict)
-    deficit: dict = field(repr=False, default_factory=dict)
 
 
 def evaluate_cell(
@@ -163,7 +163,6 @@ def evaluate_cell(
         F=np.empty(trials),
         lhs={k: np.empty(trials) if k == "1.2" else j0 for k in inequalities},
         rhs={k: np.empty(trials) for k in inequalities},
-        deficit={k: np.empty(trials) for k in inequalities},
     )
     moment_keys = [k for k in inequalities if k != "1.2"]
     for s, tree in enumerate(trees):
@@ -183,9 +182,6 @@ def evaluate_cell(
             fp = f**p
             for key in moment_keys:
                 out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
-
-    for key in inequalities:
-        out.deficit[key] = out.rhs[key] - out.lhs[key]
     return out
 
 
@@ -212,14 +208,14 @@ def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellO
         rows.append((f, big_f, j0, j1, jq, f**p))
     f, big_f, j0, j1, jq, fp = np.array(rows).T
     rhs = right_hand_side("1.9", p, q, beta, fp, j1, jq)
-    return CellOutcome(p, q, beta, seed, f, big_f, {"1.10": j0}, {"1.10": rhs}, {"1.10": rhs - j0})
+    return CellOutcome(p, q, beta, seed, f, big_f, {"1.10": j0}, {"1.10": rhs})
 
 
 # ---------------------------------------------------------------------------
 # full battery with CSV emission
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "ineq,p,q,beta,seed,f,F,lhs,rhs,deficit"
+CSV_HEADER = "ineq,p,q,beta,seed,f,F,lhs,rhs"
 
 
 def cell_seed(base_seed: int, cell_index: int) -> int:
@@ -234,13 +230,13 @@ def format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
     (1.7)/(1.8)/(1.9) ``lhs`` share one), then one row template is filled."""
     columns = []
     for k in inequalities:
-        columns += [outcome.f, outcome.F, outcome.lhs[k], outcome.rhs[k], outcome.deficit[k]]
+        columns += [outcome.f, outcome.F, outcome.lhs[k], outcome.rhs[k]]
     text = {}
     for a in columns:
         if id(a) not in text:
             text[id(a)] = ["%.17g" % x for x in a.tolist()]
     template = "".join(
-        f"{k},{outcome.p:.17g},{outcome.q:.17g},{outcome.beta:.17g},{outcome.seed},%s,%s,%s,%s,%s\n"
+        f"{k},{outcome.p:.17g},{outcome.q:.17g},{outcome.beta:.17g},{outcome.seed},%s,%s,%s,%s\n"
         for k in inequalities
     )
     return [template % fields for fields in zip(*(text[id(a)] for a in columns))]
@@ -257,7 +253,7 @@ def _fold_cell(summary: dict, outcome: CellOutcome, inequalities) -> None:
     """Fold one cell into the running ``summary``. A strict ``<`` keeps the
     earliest cell, inequality and trial on a tie."""
     for k in inequalities:
-        deficit = outcome.deficit[k]
+        deficit = outcome.rhs[k] - outcome.lhs[k]
         summary["violations"] += int(beyond_slack(deficit, outcome.rhs[k]).sum())
         i = int(np.argmin(deficit))
         if deficit[i] < summary["per_inequality"][k]:

@@ -30,6 +30,31 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
 GOLDEN_PHI = "2,2\n4\n2\n1\n1\n"
 
 
+def _summary_from_rows(path) -> dict:
+    """The summary fields that a verify CSV alone determines. A row's
+    deficit is ``float(rhs) - float(lhs)``; a tie goes to the earliest
+    cell, then inequality, then trial, as the battery folds them."""
+    rows, cells, keys, trials = [], {}, {}, {}
+    for line in path.read_text().splitlines()[2:]:
+        key, p, q, beta, seed, _, _, lhs, rhs = line.split(",")
+        trial = trials[key, seed] = trials.get((key, seed), -1) + 1
+        order = (cells.setdefault(seed, len(cells)), keys.setdefault(key, len(keys)), trial)
+        argmin = {"ineq": key, "p": float(p), "q": float(q), "beta": float(beta),
+                  "seed": int(seed), "trial": trial}
+        rows.append((float(rhs) - float(lhs), order, float(rhs), argmin))
+    per_inequality = {}
+    for deficit, _, _, argmin in rows:
+        key = argmin["ineq"]
+        per_inequality[key] = min(per_inequality.get(key, math.inf), deficit)
+    worst = min(rows, key=lambda row: row[:2])
+    return {
+        "min_deficit": worst[0],
+        "argmin": worst[3],
+        "violations": sum(bool(beyond_slack(d, rhs)) for d, _, rhs, _ in rows),
+        "per_inequality": per_inequality,
+    }
+
+
 class TestSerialization:
     def test_float_format(self):
         assert to_json(0.1) == "0.10000000000000001"
@@ -150,10 +175,10 @@ class TestVerifyCommand:
         assert status == 0
         body = out_csv.read_text().strip().split("\n")
         assert body[0].startswith("# config:")
-        assert body[1] == "ineq,p,q,beta,seed,f,F,lhs,rhs,deficit"
-        rows = body[2:]
+        assert body[1] == "ineq,p,q,beta,seed,f,F,lhs,rhs"
+        rows = [r.split(",") for r in body[2:]]
         assert len(rows) == 3
-        assert all(float(r.split(",")[-1]) >= 0.0 for r in rows)
+        assert all(float(rhs) - float(lhs) >= 0.0 for *_, lhs, rhs in rows)
         summary = json.loads(out)
         assert summary["violations"] == 0
 
@@ -203,12 +228,13 @@ class TestVerifyCommand:
         assert argmin["seed"] == sweeps.cell_seed(3, 0)
         assert {r.split(",")[4] for r in rows} == {str(argmin["seed"])}
         replay = sweeps._line_cell(argmin["p"], argmin["q"], argmin["beta"], 6, argmin["seed"])
-        assert replay.deficit["1.10"][argmin["trial"]] == summary["min_deficit"]
+        lhs, rhs = replay.lhs["1.10"][argmin["trial"]], replay.rhs["1.10"][argmin["trial"]]
+        assert rhs - lhs == summary["min_deficit"]
         assert summary["per_inequality"] == {"1.10": summary["min_deficit"]}
 
-        # the line inequality builds no tree, so the tree shape is not read
+        # the line inequality builds no tree, but its echoed shape is validated
         for shape in (["--depth", "40"], ["--arity", "1"]):
-            assert run_cli(capsys, *line, *shape)[0] == 0
+            assert run_cli(capsys, *line, *shape)[0] == 1
 
     @pytest.mark.parametrize("ineq", ["1.2", "1.7", "1.8", "1.9", "1.10", "grid"])
     def test_violating_rows_are_written_and_counted(self, capfd, tmp_path, monkeypatch, ineq):
@@ -249,14 +275,29 @@ class TestVerifyCommand:
         assert summary["violations"] == len(forced) >= 1
         assert sum(float(row[8]) in forced for row in rows) == len(forced)
         trials, worst = {}, None
-        for key, p, q, beta, seed, *_, rhs, deficit in rows:
+        for key, p, q, beta, seed, *_, lhs, rhs in rows:
             trial = trials[key, seed] = trials.get((key, seed), -1) + 1
             if float(rhs) == -1e6:
                 worst = {"ineq": key, "p": float(p), "q": float(q), "beta": float(beta),
                          "seed": int(seed), "trial": trial}
-                assert summary["min_deficit"] == float(deficit)
+                assert summary["min_deficit"] == float(rhs) - float(lhs)
         assert summary["argmin"] == worst
         assert summary["per_inequality"][worst["ineq"]] == summary["min_deficit"]
+        del summary["config"]
+        assert _summary_from_rows(rows_path) == summary
+
+    @pytest.mark.parametrize("argv", [
+        "verify --ineq grid --trials 3 --seed 303",
+        "verify --ineq 1.10 --p 3 --q 2 --beta 0.4 --trials 30 --seed 8",
+    ])
+    def test_csv_alone_reproduces_the_summary(self, capsys, tmp_path, argv):
+        """Every summary number but the config is read back from the rows."""
+        rows_path = tmp_path / "rows.csv"
+        status, out = run_cli(capsys, *argv.split(), "--output", str(rows_path))
+        assert status == 0
+        summary = json.loads(out)
+        del summary["config"]
+        assert _summary_from_rows(rows_path) == summary
 
     def test_weak_type_cell(self, capsys):
         status, out = run_cli(
@@ -530,6 +571,8 @@ class TestErrorPaths:
             "verify --trials -1",
             "verify --ineq 1.10 --trials 0",
             "verify --ineq 1.10 --beta nan",
+            "verify --ineq grid --p 0.5 --depth -3 --trials 1",
+            "verify --ineq 1.10 --arity 1 --depth -3 --trials 1",
             "sharpness --family G --p 1",
             "sharpness --family G --p 0.5 --points 0",
             "sharpness --family g_beta --p 1",

@@ -1,10 +1,11 @@
 """Golden bytes: sha256 digests of small runs of every subcommand.
 
-Each case runs ``maxtree`` in a fresh directory and hashes its stdout
-followed by the files it wrote, so a refactor that must leave every output
+Each case runs ``maxtree`` in a fresh directory and hashes its stdout and
+each file it wrote on its own, so a refactor that must leave every output
 byte alone (CSV rows, JSON key order, 17-digit floats, trial order) is
-checked in one place. The digests were recorded with numpy 2.4 on x86-64;
-a change that alters output bytes on purpose updates them and says so in
+checked in one place, and a change to one output re-records that output's
+digest only. The digests were recorded with numpy 2.4 on x86-64; a change
+that alters output bytes on purpose updates them and says so in
 CHANGES.md.
 """
 
@@ -16,36 +17,54 @@ import pytest
 from treemax.cli import main
 from treemax.tree import StepFunction, Tree, save_step_function
 
+EMPTY = hashlib.sha256(b"").hexdigest()  # the stdout of a run that writes files
+
 CASES = {
     "verify-grid": (
         "verify --ineq grid --trials 2 --seed 1 --output rows.csv --summary summary.json",
-        "9fefd89a0ed08bb413f27338a4b6ab6236fe6dc75d6e30b5287e3ab44391f88e",
+        {
+            "stdout": EMPTY,
+            "rows.csv": "d26780132bcb5ead7d5a42ede37ccb73ce2e13048908daf1bae6fdb88cf241da",
+            "summary.json": "c667866736270d4b88fbb3d2d29fbce05bf57caa6fa0dc02fcf5004076621f7d",
+        },
     ),
     "verify-1.9": (
         "verify --ineq 1.9 --p 3 --q 2 --beta 0.5 --trials 40 --depth 5 --seed 11"
         " --output rows.csv --summary summary.json",
-        "fca1f466fc4ff51762d7b2d71d4e64afe3d2f3428509f9c8789557a11767c575",
+        {
+            "stdout": EMPTY,
+            "rows.csv": "03e8e0b48886cd7726051e0716d651423ef3a364fbf9828fd686619185ef88f8",
+            "summary.json": "27c2f71468a501e77de259ee08e431d5d9cbdc0e7537b4edf7aa23d743d9b32c",
+        },
     ),
     "verify-1.10": (
         "verify --ineq 1.10 --p 2 --q 1.5 --beta 0.8 --trials 12 --seed 3"
         " --output rows.csv --summary summary.json",
-        "b8d6088ee5b0d259e8ebdf2accab5d0fe84f550f4e1c6ca6733314d086a491af",
+        {
+            "stdout": EMPTY,
+            "rows.csv": "41f83b4b17674285e224336fcfc477e0e264976595411ee789b5748ebd7848d8",
+            "summary.json": "7a6e55a3200b3def197824653ee64a3c964aea1cbd083125913acf682a64b85c",
+        },
     ),
     # arity 9 averages its levels through numpy's mean, arity 3 through the
     # explicit child sum; p=5, q=3 is where an array power ``v**q`` would
     # round one ulp away from the per-piece scalar ``vi**q``
     "verify-1.2-arity-9": (
         "verify --ineq 1.2 --arity 9 --depth 2 --trials 30 --seed 2",
-        "a1786577a691af70a2e2931eb5a4725ccd619291b77207ffc250fdc202f09d64",
+        {"stdout": "a1786577a691af70a2e2931eb5a4725ccd619291b77207ffc250fdc202f09d64"},
     ),
     "verify-1.9-arity-3": (
         "verify --ineq 1.9 --p 3 --q 2 --arity 3 --depth 7 --trials 20 --seed 6",
-        "9da042fc94099c4d7c7ea0d3fbbb3a1d6cf6073aa7c03956a4122bceacd7079a",
+        {"stdout": "9da042fc94099c4d7c7ea0d3fbbb3a1d6cf6073aa7c03956a4122bceacd7079a"},
     ),
     "verify-1.10-generic-q": (
         "verify --ineq 1.10 --p 5 --q 3 --beta 0.2 --trials 12 --seed 4"
         " --output rows.csv --summary summary.json",
-        "95feb08bf28c8a2ed5161bc47f819780daea612c29ac44e2aa673198d42318af",
+        {
+            "stdout": EMPTY,
+            "rows.csv": "e88ee08ebc107100ff31947c9e22f610962892e05a587453ec4150e2c7e67c51",
+            "summary.json": "d1b568a9ee40a0b274b9a009d6e10af1a4eb1a19396c57a53fdd203ea39c2106",
+        },
     ),
     # p=12: every step piece stops at its first bisection, since the
     # tolerance scales with the integral of g**p (symmetrize-refined below
@@ -53,45 +72,49 @@ CASES = {
     "verify-1.10-refined": (
         "verify --ineq 1.10 --p 12 --q 4 --beta 0.3 --trials 6 --seed 0"
         " --output rows.csv --summary summary.json",
-        "554576f8a3741bc4ac7544bc4af7512e1b53cb28b8d514ea8710890141cbae60",
+        {
+            "stdout": EMPTY,
+            "rows.csv": "44e102dd0f81f5310e6142a0267505f91ceef736c9585cbe91d4af732f583876",
+            "summary.json": "49a31a85ed3e6a6f88a31fc251e94067f8d1573cb5416c5397dc161c70fae7e8",
+        },
     ),
     # 24 rows of 2**14 leaves, drawn and evaluated in several row blocks
     "verify-1.8-row-blocks": (
         "verify --ineq 1.8 --p 3 --q 2 --beta 0.25 --arity 2 --depth 14 --trials 24 --seed 7",
-        "8c7e9d582a47397b96e2035ac930c82493e8bd9649ff68a160690c2b58f1d65d",
+        {"stdout": "8c7e9d582a47397b96e2035ac930c82493e8bd9649ff68a160690c2b58f1d65d"},
     ),
     "maximal": (
         "maximal --input phi.csv --p 3",
-        "29ea65446a93b6f7dd2a0e9db6aa57a9030ae8af8ea235304bbbea63b6ec830d",
+        {"stdout": "29ea65446a93b6f7dd2a0e9db6aa57a9030ae8af8ea235304bbbea63b6ec830d"},
     ),
     "maximal-ternary-ties": (
         "maximal --input phi.csv --p 2",
-        "71621f2ace6f7073881edbeccf0d6c73ad482e5970b3bca97cadc5f187a8ae31",
+        {"stdout": "71621f2ace6f7073881edbeccf0d6c73ad482e5970b3bca97cadc5f187a8ae31"},
     ),
     "oracle": (
         "oracle --p 2 --f 1 --F 2 --depth 6 --budget 20 --seed 5",
-        "648fd7049179c646a84e3d6d440068173f5deb402ac28b4354594217698b55cc",
+        {"stdout": "648fd7049179c646a84e3d6d440068173f5deb402ac28b4354594217698b55cc"},
     ),
     "symmetrize": (
         "symmetrize --p 2 --f 1 --F 2 --depth 6 --seeds 20 --seed 9",
-        "12dc4edc765e4ae817389b1be52093043e86cb9b6595a16b6cec157f427c3f91",
+        {"stdout": "12dc4edc765e4ae817389b1be52093043e86cb9b6595a16b6cec157f427c3f91"},
     ),
     # a steep step profile: at p=2 most of its pieces refine many levels deep
     "symmetrize-refined": (
         "symmetrize --p 2 --depth 4 --seeds 4 --seed 1 --g phi.csv",
-        "b488b9547f2222c4115fba35f186c7226e02602388350681582b5d57fdea5059",
+        {"stdout": "b488b9547f2222c4115fba35f186c7226e02602388350681582b5d57fdea5059"},
     ),
     "bellman": (
         "bellman --p 3 --f 1 --F 2",
-        "fca6476255b21533ec8dc9b5ee289eeb11287543f5e8a292ad8f57d699fe51da",
+        {"stdout": "fca6476255b21533ec8dc9b5ee289eeb11287543f5e8a292ad8f57d699fe51da"},
     ),
     "sharpness-g_beta": (
         "sharpness --family g_beta --p 2 --q 1.5 --points 8",
-        "c892fa3194a31461a2a1eab5dc80cec927d9a4fb09c7a8a785f02b2368290809",
+        {"stdout": "63850ab1688658a3b98167fa49f2240ce82947af6cf5b8241ecb723afc97db49"},
     ),
     "sharpness-G": (
         "sharpness --family G --p 3 --q 2 --points 12",
-        "46b4d5bcef76dd31e49fa2762d6c5bace85f90eb265b54d3f270a0d161bd0e22",
+        {"stdout": "46b4d5bcef76dd31e49fa2762d6c5bace85f90eb265b54d3f270a0d161bd0e22"},
     ),
 }
 
@@ -138,10 +161,10 @@ def test_output_digest(name, tmp_path, monkeypatch, capsys):
     if name in INPUTS:
         INPUTS[name](tmp_path / "phi.csv")
     status = main(argv.split())
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8"))
+    found = {"stdout": hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()}
     for written in WRITTEN:
         path = tmp_path / written
         if path.exists():
-            digest.update(path.read_bytes())
+            found[written] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert status == 0
-    assert digest.hexdigest() == expected, f"{name}: {digest.hexdigest()}"
+    assert found == expected, f"{name}: {found}"

@@ -21,8 +21,9 @@ from treemax import (
     sharpness_G,
 )
 
+from treemax import rearrange
 from treemax.errors import InvariantViolation
-from treemax.inequalities import _report, beyond_slack
+from treemax.inequalities import _report, beyond_slack, line_moments
 
 from conftest import random_step_function
 
@@ -249,6 +250,24 @@ class TestHardyDeficits:
             beta = float(rng.uniform(0.1, 2.0))
             report = hardy_deficit(g, IneqParams(p=p, q=q, beta=beta))
             assert report.deficit >= -1e-9 * max(1.0, abs(report.rhs))
+
+
+    @pytest.mark.parametrize("q, refinements", [(1.0, 2), (1.5, 3), (2.0, 2)])
+    def test_line_moments_refine_each_distinct_integral_once(self, monkeypatch, q, refinements):
+        # J0 and J1 are refined; Jq is J1 at q = 1, the integral of g**p at
+        # q = p, and refined on its own only in between
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return refine(*args)
+
+        refine = rearrange._adaptive_gauss
+        monkeypatch.setattr(rearrange, "_adaptive_gauss", counting)
+        g = LineStepFunction(np.arange(5) / 4.0, [4.0, 3.0, 2.0, 1.0])
+        _, _, _, j1, jq = line_moments(g, 2.0, q)
+        assert len(calls) == refinements
+        assert (jq == j1) == (q == 1.0)
 
 
 class TestSharpnessG:

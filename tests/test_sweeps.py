@@ -61,10 +61,7 @@ def _format_rows_per_row(outcome, inequalities):
     for i in range(f.size):
         moments = f",{f[i]:.17g},{big_f[i]:.17g},"
         for k in inequalities:
-            rows.append(
-                f"{prefix[k]}{moments}"
-                f"{outcome.lhs[k][i]:.17g},{outcome.rhs[k][i]:.17g},{outcome.deficit[k][i]:.17g}\n"
-            )
+            rows.append(f"{prefix[k]}{moments}{outcome.lhs[k][i]:.17g},{outcome.rhs[k][i]:.17g}\n")
     return rows
 
 
@@ -79,8 +76,8 @@ def _assert_same_bits(out, reference):
         np.testing.assert_array_equal(
             getattr(out, name).view(np.int64), getattr(reference, name).view(np.int64)
         )
-    for key in reference.deficit:
-        for part in ("lhs", "rhs", "deficit"):
+    for key in reference.rhs:
+        for part in ("lhs", "rhs"):
             np.testing.assert_array_equal(
                 getattr(out, part)[key].view(np.int64),
                 getattr(reference, part)[key].view(np.int64),
@@ -123,21 +120,22 @@ class TestEvaluateCell:
     def test_deterministic(self):
         a = evaluate_cell(2.0, 1.5, 0.5, trials=200, seed=42)
         b = evaluate_cell(2.0, 1.5, 0.5, trials=200, seed=42)
-        for key in a.deficit:
-            np.testing.assert_array_equal(a.deficit[key], b.deficit[key])
+        for key in a.rhs:
+            np.testing.assert_array_equal(a.rhs[key] - a.lhs[key], b.rhs[key] - b.lhs[key])
         np.testing.assert_array_equal(a.f, b.f)
 
     def test_all_deficits_nonnegative(self):
         out = evaluate_cell(2.5, 2.0, 0.8, trials=500, seed=7)
-        for key, deficits in out.deficit.items():
-            scale = np.maximum(1.0, np.abs(out.rhs[key]))
+        for key, rhs in out.rhs.items():
+            deficits = rhs - out.lhs[key]
+            scale = np.maximum(1.0, np.abs(rhs))
             assert (deficits >= -1e-9 * scale).all(), f"violation in {key}"
 
     def test_requested_inequalities_only(self):
         out = evaluate_cell(
             2.0, 1.0, 1.0, trials=50, seed=1, inequalities=("1.7",)
         )
-        assert set(out.deficit) == {"1.7"}
+        assert set(out.lhs) == set(out.rhs) == {"1.7"}
 
     @pytest.mark.parametrize("keys", [("1.10",), ("1.7", "9.9")])
     def test_unknown_inequality_rejected(self, keys):
@@ -195,7 +193,8 @@ class TestEvaluateCell:
         assert {g.piece_count for g in profiles[::2]} == {64}
         for trial, g in enumerate(profiles):
             report = hardy_deficit(g, IneqParams(p, q, beta, f=g.integral()))
-            columns = [out.f, out.F, out.lhs["1.10"], out.rhs["1.10"], out.deficit["1.10"]]
+            lhs, rhs = out.lhs["1.10"], out.rhs["1.10"]
+            columns = [out.f, out.F, lhs, rhs, rhs - lhs]
             got = np.array([column[trial] for column in columns])
             want = np.array([report.f, report.F, report.lhs, report.rhs, report.deficit])
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -295,7 +294,6 @@ class TestCsvRows:
             p=1.5, q=1.25, beta=1 / 3, seed=2**64 - 1, f=column(), F=column(),
             lhs={k: column() for k in inequalities},
             rhs={k: column() for k in inequalities},
-            deficit={k: column() for k in inequalities},
         )
 
     @pytest.mark.parametrize("keys", [("1.2",), ("1.8",), ("1.10",), ("1.2", "1.7", "1.8", "1.9")])
@@ -339,7 +337,7 @@ class TestRunBattery:
         )
         lines = sink.getvalue().strip().split("\n")
         assert lines[0] == "# config: {}"
-        assert lines[1] == "ineq,p,q,beta,seed,f,F,lhs,rhs,deficit"
+        assert lines[1] == "ineq,p,q,beta,seed,f,F,lhs,rhs"
         assert len(lines) == 2 + 3 * 4  # 3 trials x 4 inequalities
         first = lines[2].split(",")
         assert first[0] == "1.2"
