@@ -154,24 +154,32 @@ def right_hand_side(inequality: str, p: float, q: float, beta: float, fp, j1, jq
     return second_constant(p, q, beta) * jq - first_constant(p, q, beta) * fp
 
 
-def tree_moments(v: np.ndarray, m: np.ndarray, p: float, q: float):
+def tree_moments(v: np.ndarray, m: np.ndarray, p: float, q: float, out=None):
     """Per-row ``f, F, J0, J1, Jq`` of step functions ``v`` (one row each)
     and their maximal functions ``m``: the means of ``v``, ``v**p``,
     ``m**p``, ``v * m**(p-1)`` and ``v**q * m**(p-q)``.
 
     ``m`` is at least the row mean on every leaf, so it vanishes only on the
-    zero function.
+    zero function. ``out``, two arrays shaped like ``v``, holds the powers
+    and products instead of new temporaries; every ufunc is the one the
+    operators call, so the bits are the same.
     """
-    mp = m**p
-    vp = v**p
-    j1 = (v * (mp / m)).mean(axis=1)
+    a, b = (None, None) if out is None else out
+    mp = np.power(m, p, out=a)
+    vp = np.power(v, p, out=b)
+    f, big_f, j0 = v.mean(axis=1), vp.mean(axis=1), mp.mean(axis=1)
+    t = np.divide(mp, m, out=b)
+    j1 = np.multiply(v, t, out=t).mean(axis=1)
     if q == 1.0:
         jq = j1
     elif q == p:
-        jq = vp.mean(axis=1)
+        jq = big_f
     else:
-        jq = ((v**q) * (mp / m**q)).mean(axis=1)
-    return v.mean(axis=1), vp.mean(axis=1), mp.mean(axis=1), j1, jq
+        t = np.power(m, q, out=b)
+        np.divide(mp, t, out=t)
+        s = np.power(v, q, out=a)  # m**p is read for the last time above
+        jq = np.multiply(s, t, out=s).mean(axis=1)
+    return f, big_f, j0, j1, jq
 
 
 def weak_type_sides(v: np.ndarray, m: np.ndarray, lam: np.ndarray):

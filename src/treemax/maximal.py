@@ -45,18 +45,34 @@ def _level_averages(values: np.ndarray, arity: int, depth: int) -> list[np.ndarr
     return levels
 
 
-def _prefix_max(levels: list[np.ndarray], arity: int) -> np.ndarray:
+def _prefix_max(levels: list[np.ndarray], arity: int, out=None) -> np.ndarray:
     """Root-to-leaf running maximum of the level averages: the leaf values of
-    the maximal function, one row per trial."""
+    the maximal function, one row per trial, written into ``out`` if given.
+
+    Every level between the root and the leaves is overwritten with its own
+    running maximum. A level is updated one child position at a time, as a
+    strided ``np.maximum`` against the parent level, so no parent is copied
+    out to its children and nothing is allocated but the leaf result.
+    """
+    rows = levels[-1].shape[0]
+    if out is None:
+        out = np.empty(levels[-1].shape)
     best = levels[0]
-    for level in levels[1:]:
-        best = np.maximum(level, np.repeat(best, arity, axis=1))
-    return best
+    for level, into in zip(levels[1:], levels[1:-1] + [out]):
+        children, dest = level.reshape(rows, -1, arity), into.reshape(rows, -1, arity)
+        for j in range(arity):
+            np.maximum(children[:, :, j], best, out=dest[:, :, j])
+        best = into
+    if len(levels) == 1:
+        np.copyto(out, best)
+    return out
 
 
-def batch_maximal_leaves(values: np.ndarray, arity: int, depth: int) -> np.ndarray:
-    """Leaf values of the maximal function, one row per trial."""
-    return _prefix_max(_level_averages(values, arity, depth), arity)
+def batch_maximal_leaves(values: np.ndarray, arity: int, depth: int, out=None) -> np.ndarray:
+    """Leaf values of the maximal function, one row per trial. ``out``, a
+    C-contiguous float64 array shaped like ``values``, receives them instead
+    of a new array."""
+    return _prefix_max(_level_averages(values, arity, depth), arity, out)
 
 
 def _levels_of(phi: StepFunction) -> list[np.ndarray]:
@@ -92,7 +108,7 @@ def _maximal(phi: StepFunction) -> tuple[list[np.ndarray], MaximalResult]:
     """
     tree = phi.tree
     levels = _levels_of(phi)
-    best = _prefix_max(levels, tree.arity)[0]
+    best = _prefix_max([level.copy() for level in levels], tree.arity)[0]
     attain = tree.offsets[tree.depth] + np.arange(tree.leaf_count, dtype=np.int64)
     for m in range(tree.depth - 1, -1, -1):  # shallower hits overwrite deeper
         nodes = levels[m].shape[1]

@@ -18,7 +18,7 @@ from .tree import StepFunction, Tree
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
 _REL_TOL = 1e-10  # a bisection that moves a panel by at most this times the scale stops
 _MAX_SPLITS = 24  # a panel this many bisections deep is accepted as it is
-_PANEL_ROWS = 1 << 12  # Gauss panels per _gauss_panels call: a ~1 MB node-value temporary
+_PANEL_ROWS = 1 << 12  # Gauss panels per _gauss_panels call: a ~1 MB node-value buffer
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +194,22 @@ def random_rearrangement(g: LineStepFunction, tree: Tree, seed=None) -> StepFunc
 # ---------------------------------------------------------------------------
 
 
-def _gauss_panels(lo, hi, v, offset, weight, r) -> np.ndarray:
+def _gauss_panels(lo, hi, v, offset, weight, r, nodes) -> np.ndarray:
     """32-node Gauss panel of ``weight * (v + offset/x)**r`` on every row's
-    ``[lo, hi]`` at once."""
+    ``[lo, hi]`` at once. ``nodes``, a ``(rows, 32)`` array, is overwritten
+    with the node values: each step is the ufunc the expression
+    ``weight * (v + offset / (mid + half * x))**r * w`` calls, in its order."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _GAUSS_X
-    y = weight[:, None] * (v[:, None] + offset[:, None] / x) ** r
+    y = np.multiply(half[:, None], _GAUSS_X, out=nodes)
+    np.add(mid[:, None], y, out=y)
+    np.divide(offset[:, None], y, out=y)
+    np.add(v[:, None], y, out=y)
+    np.power(y, r, out=y)
+    np.multiply(weight[:, None], y, out=y)
+    np.multiply(y, _GAUSS_W, out=y)
     # a row sum as one row alone sums it; a matrix-vector product sums in another order
-    return half * (y * _GAUSS_W).sum(axis=1)
+    return half * y.sum(axis=1)
 
 
 def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
@@ -215,11 +222,16 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
     right half last would, so neither the levels nor the batches change a bit.
     """
 
+    nodes = np.empty((0, _GAUSS_X.size))  # one node-value buffer for every batch
+
     def gauss(a, b, row):
+        nonlocal nodes
+        if nodes.shape[0] < min(a.size, _PANEL_ROWS):
+            nodes = np.empty((min(a.size, _PANEL_ROWS), _GAUSS_X.size))
         out = np.empty(a.size)
         for s in range(0, a.size, _PANEL_ROWS):
             cut, k = slice(s, s + _PANEL_ROWS), row[s : s + _PANEL_ROWS]
-            out[cut] = _gauss_panels(a[cut], b[cut], v[k], offset[k], weight[k], r)
+            out[cut] = _gauss_panels(a[cut], b[cut], v[k], offset[k], weight[k], r, nodes[: k.size])
         return out
 
     # an open panel is (row, start, a, b, Gauss value); start counts 2**-_MAX_SPLITS

@@ -6,11 +6,25 @@ evaluated as matrices (one row per trial) so a whole batch shares each tree
 sweep. The battery evaluates its cells one after another in a single loop,
 so the output depends only on the arguments and the seed; with CSV output,
 one forked worker formats each cell's rows while the loop evaluates the
-next cell.
+next cell. The worker is forked between cells, when no helper thread exists.
+
+Within a cell, the trials go in row blocks. A block of at least
+``BLOCK_ELEMENTS // 2`` leaf values is shared out between the calling
+thread and helper threads, one worker per CPU the process may use (the
+calling thread included), because numpy releases the GIL in such a block's
+draw, sweep and reductions; smaller blocks stay on the calling thread, where
+handing the GIL back and forth would cost more than it gains. A helper draws
+a block from its own generator set to the block's stream position, so the
+worker count changes no byte, and every helper is joined before the cell
+returns or raises.
 """
 from __future__ import annotations
 
 import contextlib
+import copy
+import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,13 +88,14 @@ def _shape_probabilities(shapes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def mixture_values(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def mixture_values(rng: np.random.Generator, rows: int, cols: int, out=None) -> np.ndarray:
     """I.i.d. leaf values from a mixture of uniform, exponential, and a
     skewed two-point law; the heavy components stress the near-extremal
     regime where deficits get small. Each value is one uniform ``u``:
     ``c = int(3u)`` picks the component and ``w = 3u - c`` feeds it, so
-    draws of any sizes give the values of one draw."""
-    values = rng.random((rows, cols))
+    draws of any sizes give the values of one draw. ``out``, a C-contiguous
+    ``(rows, cols)`` float64 array, receives the values instead of a new one."""
+    values = rng.random((rows, cols), out=out)
     values *= 3.0
     component = values.astype(np.int8).reshape(-1)
     values -= component.reshape(rows, cols)
@@ -134,7 +149,10 @@ def evaluate_cell(
     generator is owned by the cell, so a (seed, cell) pair fully determines
     every number here. After a shape index and a level fraction per trial,
     the stream holds the leaf values shape by shape, trial by trial, one
-    double each, drawn and evaluated in row blocks of ``BLOCK_ELEMENTS``.
+    double each, drawn and evaluated in row blocks of ``BLOCK_ELEMENTS``:
+    the small blocks here, in stream order, then the large ones (at least
+    ``BLOCK_ELEMENTS // 2`` leaf values) on every worker, each from its
+    stream state, while this generator only advances past them.
     Out-of-domain parameters, tree shapes, trial counts or inequality keys
     raise before anything is drawn.
     """
@@ -165,24 +183,102 @@ def evaluate_cell(
         rhs={k: np.empty(trials) for k in inequalities},
     )
     moment_keys = [k for k in inequalities if k != "1.2"]
+
+    def evaluate(block_rng, idx, tree, buffer=None):
+        # one row block: draw, sweep, reduce, and write every row's numbers;
+        # ``buffer`` is a worker's room for four arrays of the block's shape
+        rows, leaves = idx.size, tree.leaf_count
+        if buffer is None:
+            v = mixture_values(block_rng, rows, leaves)
+            m = batch_maximal_leaves(v, tree.arity, tree.depth)
+            moments = tree_moments(v, m, p, q)
+        else:
+            v, m, *scratch = buffer[: 4 * rows * leaves].reshape(4, rows, leaves)
+            mixture_values(block_rng, rows, leaves, out=v)
+            batch_maximal_leaves(v, tree.arity, tree.depth, out=m)
+            moments = tree_moments(v, m, p, q, out=scratch)
+        f, big_f, j0[idx], j1, jq = moments
+        out.f[idx], out.F[idx] = f, big_f
+        if "1.2" in out.lhs:
+            lam = lam_frac[idx] * m.max(axis=1)
+            out.lhs["1.2"][idx], out.rhs["1.2"][idx] = weak_type_sides(v, m, lam)
+        fp = f**p
+        for key in moment_keys:
+            out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
+
+    large = []  # (stream state, rows, tree) of every large block
     for s, tree in enumerate(trees):
         rows = np.nonzero(shape_idx == s)[0]
-        if rows.size == 0:
-            continue
         leaves = tree.leaf_count
         for block in _row_blocks(rows.size, leaves):
             idx = rows[block]
-            v = mixture_values(rng, idx.size, leaves)
-            m = batch_maximal_leaves(v, tree.arity, tree.depth)
-            f, big_f, j0[idx], j1, jq = tree_moments(v, m, p, q)
-            out.f[idx], out.F[idx] = f, big_f
-            if "1.2" in out.lhs:
-                lam = lam_frac[idx] * m.max(axis=1)
-                out.lhs["1.2"][idx], out.rhs["1.2"][idx] = weak_type_sides(v, m, lam)
-            fp = f**p
-            for key in moment_keys:
-                out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
+            if idx.size * leaves >= BLOCK_ELEMENTS // 2:
+                large.append((rng.bit_generator.state, idx, tree))
+                rng.bit_generator.advance(idx.size * leaves)
+            else:
+                evaluate(rng, idx, tree)
+    _evaluate_large_blocks(evaluate, large, rng.bit_generator)
     return out
+
+
+def _worker_count() -> int:
+    """Workers for the large row blocks, the calling thread included: one
+    per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _evaluate_large_blocks(evaluate, blocks, bit_generator) -> None:
+    """``evaluate(rng, rows, tree, buffer)`` on every block of ``blocks``,
+    ``(stream state, rows, tree)`` each, by the calling thread and helper
+    threads: one worker per CPU this process may use, at most one per block.
+
+    Each worker takes the next block nobody has taken until none is left.
+    It draws from its own generator, set to the block's state, into its own
+    buffer of four block-sized arrays, allocated here and reused from block
+    to block, so which worker takes a block changes no bit. After an error
+    or an interrupt no further block starts; every helper is joined before
+    this returns or raises, and an error raised on a helper is raised here.
+    """
+    if not blocks:
+        return
+    size = max(idx.size * tree.leaf_count for _, idx, tree in blocks)
+    workers = min(_worker_count(), len(blocks))
+    # one array holds every worker's buffer: separate ones, all freed at the
+    # end of a cell, went back to the OS and were faulted in again each cell
+    own = [
+        (np.random.Generator(copy.copy(bit_generator)), buffer)
+        for buffer in np.empty((workers, 4 * size))
+    ]
+    taken, stop, errors = itertools.count(), [], []
+
+    def run(rng, buffer):
+        while not stop and (i := next(taken)) < len(blocks):
+            state, idx, tree = blocks[i]
+            rng.bit_generator.state = state
+            evaluate(rng, idx, tree, buffer)
+
+    def run_on_helper(rng, buffer):
+        try:
+            run(rng, buffer)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+            stop.append(True)
+
+    helpers = []
+    try:
+        for rng_buffer in own[1:]:
+            helper = threading.Thread(target=run_on_helper, args=rng_buffer)
+            helper.start()
+            helpers.append(helper)
+        run(*own[0])
+    finally:
+        stop.append(True)  # once the calling thread is done, every block is taken
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
 
 
 def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellOutcome:

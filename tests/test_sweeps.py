@@ -1,7 +1,11 @@
 """Batch verification engine and the rearrangement-orbit search."""
 
+import copy
 import io
 import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from treemax import (
     run_battery,
 )
 from treemax import sweeps
+from treemax.cli import main
 from treemax.inequalities import line_moments
 from treemax.sweeps import (
     CellOutcome,
@@ -371,6 +376,166 @@ class TestRunBattery:
         run_battery(base_seed=1, trials_per_cell=20, cells=[(2.0, 1.0, 1.0)], csv_sink=a)
         run_battery(base_seed=2, trials_per_cell=20, cells=[(2.0, 1.0, 1.0)], csv_sink=b)
         assert a.getvalue() != b.getvalue()
+
+
+# 2 rows of (2, 14) and 38 of (2, 3): one large block of 2 * 2**14 leaf
+# values (two at BLOCK_ELEMENTS = 2**14) and one small block
+LARGE_CELL = (2.5, 1.75, 0.4, 40, 5)
+LARGE_SHAPES = [(2, 14), (2, 3)]
+
+
+def _on_helper() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+class TestLargeBlockWorkers:
+    """Large row blocks run on helper threads next to the calling thread."""
+
+    def test_worker_count_changes_no_bit(self, monkeypatch):
+        ran_on, barrier = set(), threading.Barrier(2, timeout=10)
+        real = sweeps.batch_maximal_leaves
+
+        def recording(*args, **kwargs):
+            if "out" in kwargs and sweeps.BLOCK_ELEMENTS == 1 << 14 and sweeps._worker_count() == 2:
+                ran_on.add(threading.get_ident())
+                barrier.wait()  # each of the two workers takes one of the two blocks
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "batch_maximal_leaves", recording)
+        outcomes = []
+        for blocks in (sweeps.BLOCK_ELEMENTS, 1 << 14):
+            monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", blocks)
+            for workers in (1, 2):
+                monkeypatch.setattr(sweeps, "_worker_count", lambda w=workers: w)
+                outcomes.append(evaluate_cell(*LARGE_CELL, shapes=LARGE_SHAPES))
+        assert len(ran_on) == 2
+        for out in outcomes[1:]:
+            _assert_same_bits(out, outcomes[0])
+
+    def test_more_workers_than_cores_take_every_block_once(self, monkeypatch):
+        # 200 large blocks of two rows each, four workers, frequent switches
+        monkeypatch.setattr(sweeps, "BLOCK_ELEMENTS", 1 << 9)
+        taken, real = [], sweeps.tree_moments
+
+        def moments(v, *args, **kwargs):
+            taken.append(v.shape[0])
+            return real(v, *args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "tree_moments", moments)
+        cell = (3.0, 2.0, 0.25, 400, 11)
+        monkeypatch.setattr(sweeps, "_worker_count", lambda: 1)
+        serial = evaluate_cell(*cell, shapes=[(2, 8)])
+        monkeypatch.setattr(sweeps, "_worker_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            del taken[:]
+            shared = evaluate_cell(*cell, shapes=[(2, 8)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert taken == [2] * 200
+        _assert_same_bits(shared, serial)
+
+    def test_large_block_from_an_advanced_copy_is_part_of_one_draw(self):
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        ahead = copy.copy(rng.bit_generator)
+        whole = mixture_values(rng, 6, 1 << 14)
+        ahead.advance(2 << 14)
+        block = mixture_values(np.random.Generator(ahead), 3, 1 << 14, out=np.empty((3, 1 << 14)))
+        np.testing.assert_array_equal(block.view(np.int64), whole[2:5].view(np.int64))
+
+    def test_format_worker_forks_before_any_helper_and_none_is_left(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "_worker_count", lambda: 2)
+        at_fork, format_pool = [], sweeps._format_pool
+        monkeypatch.setattr(
+            sweeps, "_format_pool", lambda: at_fork.append(threading.active_count()) or format_pool()
+        )
+        calls, real = [], sweeps.tree_moments
+
+        def moments(*args, **kwargs):
+            calls.append(_on_helper())
+            if len(calls) > 8 and fail:  # in the third cell
+                raise DomainError("third cell")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "tree_moments", moments)
+        cells = sweeps.battery_cells()[:3]
+        before = threading.active_count()
+        for fail in (False, True):
+            del at_fork[:], calls[:]
+            # 16 trials of (2, 14): four large blocks per cell
+            run = lambda: run_battery(  # noqa: E731
+                base_seed=2, trials_per_cell=16, cells=cells, shapes=[(2, 14)],
+                csv_sink=io.StringIO(),
+            )
+            if fail:
+                with pytest.raises(DomainError, match="third cell"):
+                    run()
+            else:
+                run()
+                assert len(calls) == 12
+            assert at_fork == [before]
+            assert threading.active_count() == before
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [DomainError, KeyboardInterrupt])
+    def test_error_in_a_helper_block_is_raised_after_the_workers(self, error, monkeypatch):
+        monkeypatch.setattr(sweeps, "_worker_count", lambda: 2)
+        helper_in, calls, real = threading.Event(), [], sweeps.tree_moments
+
+        def moments(*args, **kwargs):
+            calls.append(_on_helper())
+            if _on_helper():
+                helper_in.set()
+                raise error("helper block")
+            assert helper_in.wait(10)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "tree_moments", moments)
+        before = threading.active_count()
+        with pytest.raises(error, match="helper block"):
+            evaluate_cell(2.5, 1.75, 0.4, 40, 5, shapes=[(2, 14)])  # ten large blocks
+        assert threading.active_count() == before
+        # the calling thread finished the block it held; no other block started
+        assert calls.count(True) == 1 and len(calls) <= 2
+
+    def test_interrupt_on_the_calling_thread_cancels_the_other_blocks(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "_worker_count", lambda: 2)
+        helper_in, calls, real = threading.Event(), [], sweeps.tree_moments
+
+        def moments(*args, **kwargs):
+            calls.append(_on_helper())
+            if not _on_helper():
+                assert helper_in.wait(10)
+                raise KeyboardInterrupt
+            helper_in.set()
+            time.sleep(0.05)  # still running when the interrupt comes
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweeps, "tree_moments", moments)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_cell(2.5, 1.75, 0.4, 40, 5, shapes=[(2, 14)])
+        assert threading.active_count() == before
+        assert sorted(calls) == [False, True]
+
+    def test_cli_reports_a_helper_error_in_one_line(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sweeps, "_worker_count", lambda: 2)
+
+        def moments(*args, **kwargs):
+            raise DomainError("no moments here")
+
+        monkeypatch.setattr(sweeps, "tree_moments", moments)
+        summary = tmp_path / "large.json"
+        status = main([
+            "verify", "--ineq", "1.8", "--p", "2.5", "--q", "1.75", "--beta", "0.4",
+            "--arity", "2", "--depth", "14", "--trials", "40", "--seed", "5",
+            "--summary", str(summary),
+        ])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.splitlines() == ["error: no moments here"]
+        assert not summary.exists()
 
 
 class TestOracle:
