@@ -15,6 +15,7 @@ import contextlib
 import json
 import os
 import sys
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -63,22 +64,55 @@ def _scalar_json(obj) -> str:
     return json.dumps(str(obj))
 
 
-def _sequence_json(obj) -> str:
-    """A list, tuple or array of scalars. Integers and finite floats are
-    formatted in one pass; anything else goes value by value."""
+_CHUNK = 4096  # sequence items formatted by one ``%`` or ``join``
+
+
+class _IntMap(NamedTuple):
+    """A JSON object from integer keys to integers, held as two arrays."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+
+def _chunk_json(chunk: list, kind: str) -> str:
+    """Comma-separated scalars. Integers and finite floats are formatted in
+    one pass; anything else goes value by value."""
+    if kind in "iu":
+        return ", ".join(map(str, chunk))
+    if kind == "f":
+        text = ("%.17g, " * len(chunk))[:-2] % tuple(chunk)
+        if "nan" not in text and "inf" not in text:
+            return text
+    return ", ".join(map(_scalar_json, chunk))
+
+
+def _sequence_pieces(obj):
+    """A list, tuple or array of scalars, ``_CHUNK`` items at a time."""
     if isinstance(obj, np.ndarray):
         kind = obj.dtype.kind
-        obj = obj.tolist()
     else:
         types = set(map(type, obj))
         kind = "f" if types <= {float} else "i" if types == {int} else "O"
-    if kind in "iu":
-        return "[" + ", ".join(map(str, obj)) + "]"
-    if kind == "f" and obj:
-        text = ("%.17g, " * len(obj))[:-2] % tuple(obj)
-        if "nan" not in text and "inf" not in text:
-            return "[" + text + "]"
-    return "[" + ", ".join(map(_scalar_json, obj)) + "]"
+    yield "["
+    for start in range(0, len(obj), _CHUNK):
+        chunk = obj[start : start + _CHUNK]
+        yield (", " if start else "") + _chunk_json(
+            chunk.tolist() if isinstance(chunk, np.ndarray) else chunk, kind
+        )
+    yield "]"
+
+
+def _int_map_pieces(obj: _IntMap, indent: int):
+    if not len(obj.keys):
+        yield "{}"
+        return
+    item = " " * indent + '  "%d": %d'
+    yield "{\n"
+    for start in range(0, len(obj.keys), _CHUNK):
+        end = start + _CHUNK
+        pairs = np.stack((obj.keys[start:end], obj.values[start:end]), axis=1).ravel().tolist()
+        yield (",\n" if start else "") + ",\n".join([item] * (len(pairs) // 2)) % tuple(pairs)
+    yield "\n" + " " * indent + "}"
 
 
 def _key_json(key) -> str:
@@ -86,23 +120,33 @@ def _key_json(key) -> str:
     return f'"{key}"' if key.isascii() and key.isdigit() else json.dumps(key)
 
 
+def _json_pieces(obj, indent: int = 0):
+    """The text of :func:`to_json`, in pieces of bounded size."""
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        pad = " " * indent
+        separator = "{\n"
+        for k, v in obj.items():
+            yield f"{separator}{pad}  {_key_json(k)}: "
+            yield from _json_pieces(v, indent + 2)
+            separator = ",\n"
+        yield f"\n{pad}}}"
+    elif isinstance(obj, _IntMap):
+        yield from _int_map_pieces(obj, indent)
+    elif isinstance(obj, (np.ndarray, list, tuple)):
+        yield from _sequence_pieces(obj)
+    else:
+        yield _scalar_json(obj)
+
+
 def to_json(obj, indent: int = 0) -> str:
     """JSON with insertion-ordered keys and 17-significant-digit floats.
 
     Lists, tuples and arrays hold scalars only in every payload.
     """
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = " " * indent
-        items = [
-            f'{pad}  {_key_json(k)}: {to_json(v, indent + 2)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (np.ndarray, list, tuple)):
-        return _sequence_json(obj)
-    return _scalar_json(obj)
+    return "".join(_json_pieces(obj, indent))
 
 
 @contextlib.contextmanager
@@ -125,11 +169,12 @@ def _sink(path: str | None, default=None):
     return _replacing(path) if path else contextlib.nullcontext(default)
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` and a newline to ``path``, or to stdout when no path
-    is given."""
+def _emit(text: str | Iterable[str], path: str | None) -> None:
+    """Write ``text``, a string or an iterable of string pieces, and a
+    newline to ``path``, or to stdout when no path is given."""
     with _sink(path, sys.stdout) as fh:
-        fh.write(text + "\n")
+        fh.writelines((text,) if isinstance(text, str) else text)
+        fh.write("\n")
 
 
 def parse_profile(spec: str):
@@ -176,11 +221,12 @@ def _config(args) -> dict:
 
 
 def cmd_maximal(args) -> int:
+    """The report is built of arrays and written in bounded pieces; all that
+    can fail runs before its first byte."""
     phi = load_step_function(args.input)
     lin = linearize(phi)
     result = lin.result
-    rebuilt = reconstruct_maximal(lin)
-    exact = bool(np.array_equal(rebuilt, result.m_phi.leaf_values))
+    exact = bool(np.array_equal(reconstruct_maximal(lin), result.m_phi.leaf_values))
     config = {
         "command": "maximal",
         "input": args.input,
@@ -193,7 +239,12 @@ def cmd_maximal(args) -> int:
         "phi": phi.leaf_values,
         "m_phi": result.m_phi.leaf_values,
         "attaining_node": result.attaining_node,
-        "linearization": lin.to_dict(),
+        "linearization": {
+            "s_phi": lin.s_phi,
+            "a": lin.mass,
+            "y": lin.average,
+            "star": _IntMap(lin.s_phi[1:], lin.star_parent[1:]),
+        },
         "moments": {
             "f": moment(phi, 1.0),
             "F_p": moment(phi, args.p),
@@ -201,7 +252,7 @@ def cmd_maximal(args) -> int:
         },
         "reconstruction_exact": exact,
     }
-    _emit(to_json(payload), args.output)
+    _emit(_json_pieces(payload), args.output)
     return 0 if exact else 2
 
 

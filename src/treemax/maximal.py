@@ -108,7 +108,8 @@ def _maximal(phi: StepFunction) -> tuple[list[np.ndarray], MaximalResult]:
     """
     tree = phi.tree
     levels = _levels_of(phi)
-    best = _prefix_max([level.copy() for level in levels], tree.arity)[0]
+    # the sweep overwrites every level but the leaves, which it only reads
+    best = _prefix_max([level.copy() for level in levels[:-1]] + levels[-1:], tree.arity)[0]
     attain = tree.offsets[tree.depth] + np.arange(tree.leaf_count, dtype=np.int64)
     for m in range(tree.depth - 1, -1, -1):  # shallower hits overwrite deeper
         nodes = levels[m].shape[1]
@@ -128,25 +129,38 @@ class Linearization:
     """The average-attaining partition of X induced by a step function.
 
     ``s_phi`` always contains the root and is sorted by node id (level-major,
-    so the root comes first). ``star`` maps every member except the root to
-    the smallest member strictly containing it. ``result`` is the maximal
-    function the partition was read from.
+    so the root comes first). The other arrays run parallel to it: ``mass``
+    holds each member's mass a, ``average`` its average y, and
+    ``star_parent`` the smallest member strictly containing it (-1 for the
+    root). ``result`` is the maximal function the partition was read from.
     """
 
     s_phi: np.ndarray
-    a_mass: dict[int, float]
-    y_avg: dict[int, float]
-    star: dict[int, int]
+    mass: np.ndarray
+    average: np.ndarray
+    star_parent: np.ndarray
     result: MaximalResult
+
+    @property
+    def a_mass(self) -> dict[int, float]:
+        return dict(zip(self.s_phi.tolist(), self.mass.tolist()))
+
+    @property
+    def y_avg(self) -> dict[int, float]:
+        return dict(zip(self.s_phi.tolist(), self.average.tolist()))
+
+    @property
+    def star(self) -> dict[int, int]:
+        """Member -> its star, for every member but the root."""
+        return dict(zip(self.s_phi[1:].tolist(), self.star_parent[1:].tolist()))
 
     def to_dict(self) -> dict:
         """JSON-friendly dump: parallel lists over ``s_phi`` plus the star map."""
-        ids = self.s_phi.tolist()
         return {
-            "s_phi": ids,
-            "a": [self.a_mass[i] for i in ids],
-            "y": [self.y_avg[i] for i in ids],
-            "star": {str(i): int(self.star[i]) for i in ids if i in self.star},
+            "s_phi": self.s_phi.tolist(),
+            "a": self.mass.tolist(),
+            "y": self.average.tolist(),
+            "star": {str(i): j for i, j in self.star.items()},
         }
 
 
@@ -157,34 +171,38 @@ def linearize(phi: StepFunction) -> Linearization:
     supremum defining the maximal function is attained at every leaf.
     """
     tree = phi.tree
+    arity, depth, offsets = tree.arity, tree.depth, tree.offsets
     levels, result = _maximal(phi)
-    node_avg = np.concatenate(levels, axis=1)[0]
 
-    members, counts = np.unique(result.attaining_node, return_counts=True)
-    mass = dict(zip(members.tolist(), (counts * tree.leaf_measure).tolist()))
-    if 0 not in mass:
+    ids, counts = np.unique(result.attaining_node, return_counts=True)
+    mass = counts * tree.leaf_measure
+    if ids[0] != 0:
         # constant-on-top functions attain somewhere below the root only;
         # the root belongs to the family by definition, with zero mass.
-        mass[0] = 0.0
-    ids = np.array(sorted(mass), dtype=np.int64)
+        ids, mass = np.concatenate(([0], ids)), np.concatenate(([0.0], mass))
 
-    # top-down by level: the nearest member strictly above a node is its parent
-    # (id (i - 1) // arity) if that is a member, else the one above the parent
-    is_member = np.zeros(tree.node_count, dtype=bool)
-    is_member[ids] = True
-    above = np.zeros(tree.node_count, dtype=np.int64)
-    for lo, hi in zip(tree.offsets[1:-1], tree.offsets[2:]):
-        parent = (np.arange(lo, hi) - 1) // tree.arity
-        above[lo:hi] = np.where(is_member[parent], parent, above[parent])
-    star = dict(zip(ids[1:].tolist(), above[ids[1:]].tolist()))
-    y = dict(zip(ids.tolist(), node_avg[ids].tolist()))
-    return Linearization(s_phi=ids, a_mass=mass, y_avg=y, star=star, result=result)
+    # members of level m are ids[bounds[m]:bounds[m + 1]]
+    bounds = np.searchsorted(ids, offsets)
+    member_level = np.repeat(np.arange(depth + 1), np.diff(bounds))
+    average = np.empty(ids.size)
+    for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        average[lo:hi] = levels[m][0][ids[lo:hi] - offsets[m]]
+
+    # the star of a member is its deepest member ancestor; the level-k
+    # ancestor of a member is found from the first leaf below it
+    first_leaf = (ids - offsets[member_level]) * arity ** (depth - member_level)
+    star_parent = np.full(ids.size, -1, dtype=np.int64)
+    for k in range(depth - 1, -1, -1):
+        todo = np.flatnonzero((star_parent < 0) & (member_level > k))
+        ancestor = offsets[k] + first_leaf[todo] // arity ** (depth - k)
+        hit = np.isin(ancestor, ids[bounds[k] : bounds[k + 1]])
+        star_parent[todo[hit]] = ancestor[hit]
+    return Linearization(ids, mass, average, star_parent, result)
 
 
 def reconstruct_maximal(lin: Linearization) -> np.ndarray:
     """Per-leaf maximal values rebuilt from the linearization weights."""
-    y = np.fromiter(map(lin.y_avg.__getitem__, lin.s_phi.tolist()), np.float64, lin.s_phi.size)
-    return y[np.searchsorted(lin.s_phi, lin.result.attaining_node)]
+    return lin.average[np.searchsorted(lin.s_phi, lin.result.attaining_node)]
 
 
 def level_approximation(phi: StepFunction, level: int) -> StepFunction:

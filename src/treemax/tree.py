@@ -12,6 +12,7 @@ the deepest level; every integral of it is an exact finite sum.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -158,32 +159,48 @@ def moment(phi: StepFunction, r: float) -> float:
 # then one leaf value per line in canonical order.
 
 
+_WRITE_CHUNK = 4096  # leaf values formatted by one ``%`` in save_step_function
+
+
 def save_step_function(phi: StepFunction, path) -> None:
+    values = phi.leaf_values
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{phi.tree.arity},{phi.tree.depth}\n")
-        for v in phi.leaf_values:
-            fh.write(f"{v:.17g}\n")
+        for start in range(0, values.size, _WRITE_CHUNK):
+            chunk = values[start : start + _WRITE_CHUNK].tolist()
+            fh.write("%.17g\n" * len(chunk) % tuple(chunk))
 
 
 def load_step_function(path) -> StepFunction:
+    """Read a step-function file line by line, straight into one array.
+
+    Blank lines and surrounding whitespace are ignored, and a literal
+    ``arity,depth`` column line may precede the header.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ShapeError(f"{path}: empty step-function file")
-    header = lines[0]
-    if header.replace(" ", "") == "arity,depth":
-        # tolerate a literal column-name line before the numbers
-        lines = lines[1:]
-        if not lines:
-            raise ShapeError(f"{path}: missing arity,depth line")
-        header = lines[0]
-    try:
-        arity, depth = (int(s) for s in header.split(","))
-    except ValueError as exc:
-        raise ShapeError(f"{path}: bad header line {header!r}") from exc
-    tree = Tree(arity, depth)
-    try:
-        values = np.array([float(s) for s in lines[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise ShapeError(f"{path}: leaf values must parse as decimals") from exc
+        lines = filter(None, map(str.strip, fh))
+        header = next(lines, None)
+        if header is None:
+            raise ShapeError(f"{path}: empty step-function file")
+        if header.replace(" ", "") == "arity,depth":
+            header = next(lines, None)
+            if header is None:
+                raise ShapeError(f"{path}: missing arity,depth line")
+        try:
+            arity, depth = (int(s) for s in header.split(","))
+        except ValueError as exc:
+            raise ShapeError(f"{path}: bad header line {header!r}") from exc
+        tree = Tree(arity, depth)
+        try:
+            values = np.fromiter(map(float, itertools.islice(lines, tree.leaf_count)), np.float64)
+            extra = sum(1 for _ in map(float, lines))  # every line must parse
+        except UnicodeDecodeError:
+            raise  # the file is not UTF-8: its own message
+        except ValueError as exc:
+            raise ShapeError(f"{path}: leaf values must parse as decimals") from exc
+    if extra:
+        # StepFunction's own message, without holding the surplus values
+        raise ShapeError(
+            f"expected {tree.leaf_count} leaf values, got shape {(values.size + extra,)}"
+        )
     return StepFunction(tree, values)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from treemax.cli import build_parser, main, parse_profile, to_json
 from treemax.errors import DomainError, InvariantViolation
 from treemax.inequalities import beyond_slack
 from treemax.rearrange import LineStepFunction, PowerLawFunction, discretize, hardy_power
+from treemax.tree import StepFunction, Tree, save_step_function
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -97,6 +99,20 @@ class TestSerialization:
             '{\n  "12": 1,\n  "-3": 2,\n  "\\u00b2": 3,\n  "a\\"b": 4,\n  "7": 5\n}'
         )
 
+    def test_chunks_format_like_their_values(self, monkeypatch):
+        """Chunks of three items cut every sequence, some of them with a
+        non-finite value, and read as the values one by one."""
+        monkeypatch.setattr(cli, "_CHUNK", 3)
+        floats = [0.1, 2.0, 1e300, 5e-324, -0.0, np.nan, 7.25, np.inf]
+        for values in (np.array(floats), floats, np.arange(-4, 4), [1, 2.5, True, None]):
+            expected = ", ".join(to_json(x) for x in list(values))
+            assert to_json(values) == f"[{expected}]"
+        assert to_json(cli._IntMap(np.arange(1, 8), np.arange(7) // 2), indent=2) == (
+            '{\n    "1": 0,\n    "2": 0,\n    "3": 1,\n    "4": 1,\n    "5": 2,\n'
+            '    "6": 2,\n    "7": 3\n  }'
+        )
+        assert to_json(cli._IntMap(np.arange(0), np.arange(0))) == "{}"
+
     def test_key_order_preserved(self):
         assert to_json({"b": 1, "a": 2}).index('"b"') < to_json({"b": 1, "a": 2}).index('"a"')
 
@@ -145,6 +161,51 @@ class TestMaximalCommand:
         status, _ = run_cli(capsys, "maximal", "--input", str(tmp_path / "nope.csv"))
         assert status == 1
 
+    def test_peak_memory_per_leaf(self, capsys, tmp_path):
+        """The report is built of arrays and written in bounded pieces, so
+        its traced peak stays a small multiple of the 8 bytes of a leaf."""
+        leaves = 2**14
+        path = tmp_path / "phi.csv"
+        values = np.random.default_rng(14).exponential(1.0, leaves)
+        save_step_function(StepFunction(Tree(2, 14), values), path)
+        argv = ["maximal", "--input", str(path), "--output", str(tmp_path / "out.json")]
+        assert main(argv) == 0  # imports and one-time caches are not counted
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak <= 200 * leaves, f"{peak / leaves:.0f} bytes per leaf"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+    def test_overflow_after_loading_writes_nothing(self, capsys, tmp_path, to_file):
+        path = tmp_path / "phi.csv"
+        values = np.ones(2**14)
+        values[-1] = 1e10
+        save_step_function(StepFunction(Tree(2, 14), values), path)
+        argv = ["maximal", "--input", str(path), "--p", "64"]
+        status = main(argv + ["--output", str(tmp_path / "out.json")] if to_file else argv)
+        assert status == 1
+        assert capsys.readouterr() == ("", "error: the moment of order 64.0 overflows\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_report_does_not_depend_on_the_chunk_size(self, capsys, tmp_path, monkeypatch):
+        """Pieces of 7 items cut every array and the star map many times,
+        and give the bytes of the default pieces."""
+        path = tmp_path / "phi.csv"
+        values = np.round(np.random.default_rng(7).exponential(1.0, 3**5), 1)
+        save_step_function(StepFunction(Tree(3, 5), values), path)
+        reports = []
+        for chunk in (cli._CHUNK, 7):
+            monkeypatch.setattr(cli, "_CHUNK", chunk)
+            status, out = run_cli(capsys, "maximal", "--input", str(path))
+            assert status == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert len(json.loads(reports[1])["linearization"]["star"]) > 7
+
     @pytest.mark.parametrize(
         "header, message",
         [
@@ -163,6 +224,54 @@ class TestMaximalCommand:
         status = main(["maximal", "--input", str(path)])
         assert status == 1
         assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "{path}: empty step-function file"),
+            ("\n \n", "{path}: empty step-function file"),
+            ("arity,depth\n", "{path}: missing arity,depth line"),
+            ("2,2\n4\n2\nx\n1\n", "{path}: leaf values must parse as decimals"),
+            # a bad value past the leaf count is still a parse error
+            ("2,2\n4\n2\n1\n1\n1\nx\n", "{path}: leaf values must parse as decimals"),
+            ("2,2\n4\n2\n1\n", "expected 4 leaf values, got shape (3,)"),
+            ("2,2\n4\n2\n1\n1\n5\n", "expected 4 leaf values, got shape (5,)"),
+            ("2,2\n4\n2\nnan\n1\n", "leaf values must be finite"),
+            ("2,2\n4\n2\n-1\n1\n", "leaf values must be nonnegative"),
+        ],
+        ids=[
+            "empty", "blank", "lone-header", "bad-value", "bad-extra-value",
+            "too-few", "too-many", "non-finite", "negative",
+        ],
+    )
+    def test_load_errors_write_nothing(self, capsys, tmp_path, text, message):
+        path = tmp_path / "phi.csv"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        status = main(["maximal", "--input", str(path), "--output", str(out)])
+        assert status == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("leaves", [3, 2**14], ids=["first-block", "later-block"])
+    def test_undecodable_value_keeps_the_codec_message(self, capsys, tmp_path, leaves):
+        """A byte that is not UTF-8 is reported as such, whether it is
+        decoded with the header or long after it."""
+        path = tmp_path / "phi.csv"
+        path.write_bytes(f"2,{leaves.bit_length() - 1}\n".encode() + b"1.5\n" * leaves + b"\xff\n")
+        status = main(["maximal", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert captured.err.count("\n") == 1
+
+    def test_loader_tolerates_blank_lines_spaces_and_a_column_line(self, capsys, tmp_path):
+        path = tmp_path / "phi.csv"
+        path.write_bytes(b"\r\n arity, depth \r\n\r\n2, 2\r\n 4 \r\n\r\n2\n1e0\n\n1_0\n\n")
+        status, out = run_cli(capsys, "maximal", "--input", str(path))
+        assert status == 0
+        assert json.loads(out)["phi"] == [4, 2, 1, 10]
 
 
 class TestVerifyCommand:

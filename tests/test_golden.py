@@ -91,6 +91,14 @@ CASES = {
         "maximal --input phi.csv --p 2",
         {"stdout": "71621f2ace6f7073881edbeccf0d6c73ad482e5970b3bca97cadc5f187a8ae31"},
     ),
+    # the report written through --output's replacing file, not stdout
+    "maximal-output": (
+        "maximal --input phi.csv --p 1.5 --output maximal.json",
+        {
+            "stdout": EMPTY,
+            "maximal.json": "6641bb2272edb6a52d1964bea742714ce8240b4349421f529f6b72aa5a033424",
+        },
+    ),
     "oracle": (
         "oracle --p 2 --f 1 --F 2 --depth 6 --budget 20 --seed 5",
         {"stdout": "648fd7049179c646a84e3d6d440068173f5deb402ac28b4354594217698b55cc"},
@@ -118,7 +126,7 @@ CASES = {
     ),
 }
 
-WRITTEN = ("rows.csv", "summary.json")
+WRITTEN = ("rows.csv", "summary.json", "maximal.json")
 
 
 def _write_seeded_phi(path) -> None:
@@ -150,6 +158,7 @@ def _write_steep_profile(path) -> None:
 INPUTS = {
     "maximal": _write_seeded_phi,
     "maximal-ternary-ties": _write_tie_heavy_phi,
+    "maximal-output": _write_tie_heavy_phi,
     "symmetrize-refined": _write_steep_profile,
 }
 

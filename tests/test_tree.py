@@ -17,6 +17,7 @@ from treemax import (
 )
 
 from conftest import random_step_function
+from treemax import tree as tree_module
 
 
 class TestBuildUniformTree:
@@ -177,6 +178,15 @@ class TestStepFunctionFile:
         back = load_step_function(path)
         assert back.tree == phi.tree
         np.testing.assert_array_equal(back.leaf_values, phi.leaf_values)
+
+    @pytest.mark.parametrize("chunk", [1, 4, 4096])
+    def test_saved_lines_do_not_depend_on_the_chunk(self, tmp_path, rng, monkeypatch, chunk):
+        monkeypatch.setattr(tree_module, "_WRITE_CHUNK", chunk)
+        phi = random_step_function(rng, arity=3, depth=2)
+        path = tmp_path / "phi.csv"
+        save_step_function(phi, path)
+        lines = "".join(f"{v:.17g}\n" for v in phi.leaf_values)
+        assert path.read_text() == f"3,2\n{lines}"
 
     def test_accepts_column_name_line(self, tmp_path):
         path = tmp_path / "phi.csv"
