@@ -1,10 +1,10 @@
 """Tree maximal operator and its linearization.
 
 Everything here is exact finite arithmetic on step functions: node averages
-are built bottom-up level by level, the maximal function is one root-to-leaf
-prefix-max sweep, and the linearization recovers the partition of X by the
-largest average-attaining ancestor of each leaf. The sweep is batched, one
-row per trial, and a single step function is the one-row case.
+are built bottom-up level by level, and one root-to-leaf prefix-max sweep
+gives the maximal function and, from where its running maxima rise, the
+attaining nodes, S_phi with its masses and averages, and the star map. The
+sweep is batched, one row per trial; one step function is the one-row case.
 """
 from __future__ import annotations
 
@@ -87,41 +87,18 @@ def averages(phi: StepFunction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaximalResult:
-    """Maximal function of a step function plus per-leaf attaining nodes.
-
-    ``attaining_node[i]`` is the id of the largest (closest to the root)
-    ancestor of leaf i whose average realizes the maximum; ties between an
-    ancestor and any descendant resolve to the ancestor.
-    """
+    """Maximal function of a step function plus per-leaf attaining nodes:
+    ``attaining_node[i]`` is the id of the shallowest ancestor of leaf i whose
+    average realizes the maximum, so a tie resolves to the ancestor."""
 
     phi: StepFunction
     m_phi: StepFunction
     attaining_node: np.ndarray
 
 
-def _maximal(phi: StepFunction) -> tuple[list[np.ndarray], MaximalResult]:
-    """The one-row sweep, returning the level averages alongside the result.
-
-    The attaining node of a leaf is its shallowest ancestor whose average
-    equals the maximal value there. Comparing with ``==`` is exact because
-    ``np.maximum`` returns one of its inputs bit for bit.
-    """
-    tree = phi.tree
-    levels = _levels_of(phi)
-    # the sweep overwrites every level but the leaves, which it only reads
-    best = _prefix_max([level.copy() for level in levels[:-1]] + levels[-1:], tree.arity)[0]
-    attain = tree.offsets[tree.depth] + np.arange(tree.leaf_count, dtype=np.int64)
-    for m in range(tree.depth - 1, -1, -1):  # shallower hits overwrite deeper
-        nodes = levels[m].shape[1]
-        hit = best.reshape(nodes, -1) == levels[m][0][:, None]
-        ids = tree.offsets[m] + np.arange(nodes, dtype=np.int64)
-        np.copyto(attain.reshape(nodes, -1), ids[:, None], where=hit)
-    return levels, MaximalResult(phi, StepFunction(tree, best), attain)
-
-
 def maximal_function(phi: StepFunction) -> MaximalResult:
     """Evaluate the tree maximal operator by a single prefix-max sweep."""
-    return _maximal(phi)[1]
+    return linearize(phi).result
 
 
 @dataclass(frozen=True)
@@ -154,50 +131,50 @@ class Linearization:
         """Member -> its star, for every member but the root."""
         return dict(zip(self.s_phi[1:].tolist(), self.star_parent[1:].tolist()))
 
-    def to_dict(self) -> dict:
-        """JSON-friendly dump: parallel lists over ``s_phi`` plus the star map."""
-        return {
-            "s_phi": self.s_phi.tolist(),
-            "a": self.mass.tolist(),
-            "y": self.average.tolist(),
-            "star": {str(i): j for i, j in self.star.items()},
-        }
-
 
 def linearize(phi: StepFunction) -> Linearization:
-    """Compute the attaining-node partition, its masses, and the star map.
+    """The maximal function, its attaining nodes, and the attaining-node
+    partition with its masses and star map, read off one prefix-max sweep.
 
-    Any step function is admissible here: ancestor chains are finite, so the
-    supremum defining the maximal function is attained at every leaf.
+    The sweep leaves each level holding its running maximum R. Where R rises
+    strictly above the parent's R it is the node's own average (``np.maximum``
+    returns one of its inputs). A node attains at the deepest rise on its root
+    path, or at the root, so ties go to the ancestor, and a rise's star is its
+    parent's attaining node. The members are the root and the rises some leaf
+    attains at, with mass their leaf count times the leaf measure.
     """
     tree = phi.tree
-    arity, depth, offsets = tree.arity, tree.depth, tree.offsets
-    levels, result = _maximal(phi)
-
-    ids, counts = np.unique(result.attaining_node, return_counts=True)
-    mass = counts * tree.leaf_measure
-    if ids[0] != 0:
-        # constant-on-top functions attain somewhere below the root only;
-        # the root belongs to the family by definition, with zero mass.
-        ids, mass = np.concatenate(([0], ids)), np.concatenate(([0.0], mass))
-
-    # members of level m are ids[bounds[m]:bounds[m + 1]]
-    bounds = np.searchsorted(ids, offsets)
-    member_level = np.repeat(np.arange(depth + 1), np.diff(bounds))
-    average = np.empty(ids.size)
-    for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        average[lo:hi] = levels[m][0][ids[lo:hi] - offsets[m]]
-
-    # the star of a member is its deepest member ancestor; the level-k
-    # ancestor of a member is found from the first leaf below it
-    first_leaf = (ids - offsets[member_level]) * arity ** (depth - member_level)
-    star_parent = np.full(ids.size, -1, dtype=np.int64)
-    for k in range(depth - 1, -1, -1):
-        todo = np.flatnonzero((star_parent < 0) & (member_level > k))
-        ancestor = offsets[k] + first_leaf[todo] // arity ** (depth - k)
-        hit = np.isin(ancestor, ids[bounds[k] : bounds[k + 1]])
-        star_parent[todo[hit]] = ancestor[hit]
-    return Linearization(ids, mass, average, star_parent, result)
+    running = _levels_of(phi)
+    running[-1] = _prefix_max(running, tree.arity)
+    # rises are numbered in level-major order, the root first; ``owner`` holds
+    # the number of the rise each node of the current level attains at, and
+    # each level adds the id, the average and the star of each of its rises
+    rises = [(np.zeros(1, np.int64), running[0][0], np.full(1, -1))]
+    owner, count = np.zeros(1, np.int64), 1
+    for m in range(1, tree.depth + 1):
+        rose = np.flatnonzero(running[m].reshape(-1, tree.arity) > running[m - 1].reshape(-1, 1))
+        owner = np.repeat(owner, tree.arity)
+        rises.append((tree.offsets[m] + rose, running[m][0][rose], owner[rose]))
+        owner[rose] = np.arange(count, count + rose.size)
+        count += rose.size
+    ids, average, star = (np.concatenate(column) for column in zip(*rises))
+    del rises
+    counts = np.bincount(owner, minlength=count)
+    best, attaining = running[-1][0], ids[owner]
+    del running, owner  # free what the result does not keep
+    # A rounded mean can lie below all of its children (three equal ones, say):
+    # such a node rises although no leaf attains there, so it is no member and
+    # the stars below it pass on to its own star.
+    empty = counts == 0
+    empty[0] = False
+    while (lift := np.flatnonzero(empty[star[1:]]) + 1).size:
+        star[lift] = star[star[lift]]
+    member = np.flatnonzero(~empty)
+    star_parent = ids[star[member]]
+    star_parent[0] = -1
+    mass = counts[member] * tree.leaf_measure
+    result = MaximalResult(phi, StepFunction(tree, best), attaining)
+    return Linearization(ids[member], mass, average[member], star_parent, result)
 
 
 def reconstruct_maximal(lin: Linearization) -> np.ndarray:

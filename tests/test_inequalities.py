@@ -10,9 +10,11 @@ from treemax import (
     PowerLawFunction,
     StepFunction,
     Tree,
+    bellman_value,
     beta_family_residual,
     constants,
     deficit,
+    discretize,
     extremizer_sweep,
     first_constant,
     hardy_deficit,
@@ -25,7 +27,7 @@ from treemax import rearrange
 from treemax.errors import InvariantViolation
 from treemax.inequalities import _report, beyond_slack, line_moments
 
-from conftest import random_step_function
+from conftest import random_step_function, steep_profile
 
 
 def golden_phi():
@@ -234,6 +236,18 @@ class TestHardyDeficits:
         assert target == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert report.deficit == pytest.approx(c2 * (residual - target), abs=1e-12)
         assert report.deficit == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+    def test_q1_line_deficit_is_quadrature_error_alone(self, p):
+        # at q = 1 both sides of (1.10) agree by integration by parts, so the
+        # deficit of a profile at its own mean is the quadrature error only
+        self_similar = PowerLawFunction.self_similar(1.0, bellman_value(p, 1.0, 2.0).alpha)
+        profiles = [self_similar, discretize(self_similar, 1024)]
+        if p == 2.0:
+            profiles.append(steep_profile())
+        for g in profiles:
+            report = hardy_deficit(g, IneqParams(p, 1.0, 1.0, f=g.integral()))
+            assert abs(report.deficit) <= 1e-12 * max(1.0, abs(report.rhs)), g
 
     def test_non_increasing_required(self):
         g = LineStepFunction([0.0, 0.5, 1.0], [1.0, 2.0])

@@ -56,6 +56,39 @@ def brute_force_maximal(phi):
     return out, attain
 
 
+def brute_force_linearization(phi):
+    """Independent linearization from ``brute_force_maximal``'s attaining
+    nodes (returned first): the members are the root and every attaining
+    node, a member's mass is its leaf count times the leaf measure, and its
+    star is the nearest member up its ``parent_of`` chain (-1 for the root)."""
+    tree = phi.tree
+    _, attain = brute_force_maximal(phi)
+    members = sorted({0, *attain.tolist()})
+    mass = [np.count_nonzero(attain == i) * tree.leaf_measure for i in members]
+    star = []
+    for node_id in members:
+        walk = tree.parent_of(node_id)
+        while walk is not None and walk not in members:
+            walk = tree.parent_of(walk)
+        star.append(-1 if walk is None else walk)
+    return attain, members, mass, star
+
+
+def reference_leaves(rng, tree, kind):
+    values = random_step_function(rng, arity=tree.arity, depth=tree.depth).leaf_values
+    if kind == "ties":
+        # integers scaled by arity**depth: every node average is an integer, so
+        # a block mean and a mean of child means agree bit for bit
+        return np.round(values) * tree.leaf_count
+    if kind == "signed-zero":
+        return np.full(tree.leaf_count, -0.0)
+    return values
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 class TestAverages:
     def test_golden_levels(self):
         avg = averages(golden_phi())
@@ -167,14 +200,43 @@ class TestLinearize:
         assert lin.y_avg == {0: 2.0, 1: 3.0, 3: 4.0}
         assert lin.star == {1: 0, 3: 1}
 
-    def test_golden_dump_format(self):
-        dump = linearize(golden_phi()).to_dict()
-        assert dump == {
-            "s_phi": [0, 1, 3],
-            "a": [0.5, 0.25, 0.25],
-            "y": [2.0, 3.0, 4.0],
-            "star": {"1": 0, "3": 1},
-        }
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "signed-zero"])
+    @pytest.mark.parametrize("arity,depth", [(2, 0), (3, 0), (8, 2), (9, 2), (2, 6)])
+    def test_matches_brute_force_exactly(self, rng, arity, depth, kind):
+        tree = Tree(arity, depth)
+        phi = StepFunction(tree, reference_leaves(rng, tree, kind))
+        lin = linearize(phi)
+        attain, members, mass, star = brute_force_linearization(phi)
+        np.testing.assert_array_equal(lin.result.attaining_node, attain)
+        assert lin.s_phi.tolist() == members
+        assert lin.mass.tolist() == mass
+        assert lin.star_parent.tolist() == star
+        avg = averages(phi)
+        np.testing.assert_array_equal(bits(lin.average), bits(avg[lin.s_phi]))
+        # S_phi is the root and every node whose average exceeds its parent's
+        # running maximum R; a rounded mean below all of its children would
+        # rise too without being attained (next test), and these leaves have none
+        running = avg.copy()
+        for node_id in range(1, tree.node_count):
+            running[node_id] = max(running[node_id], running[tree.parent_of(node_id)])
+        rises = [n for n in range(1, tree.node_count) if avg[n] > running[tree.parent_of(n)]]
+        assert members == [0] + rises
+
+    def test_rounded_mean_below_its_children_is_no_member(self):
+        # the rounded mean of three copies of a lies below a, so node 1 rises
+        # above the root while each leaf below it rises again and attains at
+        # itself: node 1 is no member, and the star of those leaves is the root
+        a = 1.5118216247002567
+        phi = StepFunction(Tree(3, 2), [a, a, a] + [0.0] * 6)
+        avg = averages(phi)
+        assert avg[0] < avg[1] < a
+        lin = linearize(phi)
+        attain, members, mass, star = brute_force_linearization(phi)
+        np.testing.assert_array_equal(lin.result.attaining_node, attain)
+        assert members == [0, 4, 5, 6]
+        assert lin.s_phi.tolist() == members
+        assert lin.mass.tolist() == mass
+        assert lin.star_parent.tolist() == star == [-1, 0, 0, 0]
 
     def test_constant_collapses_to_root(self):
         lin = linearize(StepFunction(Tree(2, 3), np.full(8, 0.8)))

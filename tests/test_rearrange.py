@@ -27,7 +27,7 @@ from treemax import (
 from treemax import rearrange
 from treemax.sweeps import mixture_values, orbit_sample_max
 
-from conftest import random_step_function
+from conftest import random_step_function, steep_profile
 
 
 def step_hardy_power_p2(g: LineStepFunction) -> float:
@@ -139,15 +139,6 @@ def mixture_profile(seed: int) -> LineStepFunction:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     values = np.sort(mixture_values(rng, 1, 64)[0])[::-1]
     return LineStepFunction(np.arange(65) / 64.0, values)
-
-
-def steep_profile() -> LineStepFunction:
-    """``t**-0.5`` taken at the right ends of 51 pieces that span six decades
-    each, from 1e-300 to 1. Every piece holds about the same share of the
-    integral of g**2, and its running average falls a thousandfold across it,
-    so at p = 2 most pieces refine many levels deep at the default tolerance."""
-    t = np.concatenate(([0.0], 10.0 ** -np.arange(300, 0, -6, dtype=float), [1.0]))
-    return LineStepFunction(t, t[1:] ** -0.5)
 
 
 # far below the default: the mixture profile then refines thousands of panels
