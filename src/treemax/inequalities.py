@@ -341,45 +341,30 @@ def extremizer_sweep(
     identity that pins the first constant. Inadmissible grid points are kept
     in the output with a reason instead of raising.
     """
-    p, q, f = params.p, params.q, params.f
-    points: list[SweepPoint] = []
     if family == "g_alpha":
-        for alpha in grid:
-            alpha = float(alpha)
-            if not _alpha_admissible(alpha, p):
-                points.append(
-                    SweepPoint(family, alpha, alpha, False, "alpha outside (0, 1/p)")
-                )
-                continue
-            g = PowerLawFunction.from_mean_and_exponent(f, alpha)
-            report = hardy_deficit(g, params)
-            points.append(SweepPoint(family, alpha, alpha, True, report=report))
+        admissible, reason = _alpha_admissible, "alpha outside (0, 1/p)"
     elif family == "g_beta":
-        for beta in grid:
-            beta = float(beta)
-            alpha = beta / (beta + 1.0) if beta != -1.0 else math.nan
-            if not _beta_admissible(beta, p):
-                points.append(
-                    SweepPoint(family, beta, alpha, False, "beta outside (0, 1/(p-1)]")
-                )
-                continue
-            residual, target = beta_family_residual(p, q, beta, f)
-            report = None
-            if alpha * p < 1.0 - 1e-12:
-                g = PowerLawFunction.from_mean_and_exponent(f, alpha)
-                matched = replace(params, beta=beta)
-                report = hardy_deficit(g, matched)
-            points.append(
-                SweepPoint(
-                    family,
-                    beta,
-                    alpha,
-                    True,
-                    report=report,
-                    residual=residual,
-                    residual_target=target,
-                )
-            )
+        admissible, reason = _beta_admissible, "beta outside (0, 1/(p-1)]"
     else:
         raise DomainError(f"unknown family {family!r}, expected g_alpha or g_beta")
+    p, q, f = params.p, params.q, params.f
+    on_beta = family == "g_beta"
+    points: list[SweepPoint] = []
+    for x in map(float, grid):
+        alpha = x
+        if on_beta:
+            alpha = x / (x + 1.0) if x != -1.0 else math.nan
+        if not admissible(x, p):
+            points.append(SweepPoint(family, x, alpha, False, reason))
+            continue
+        matched, residual, target = params, math.nan, math.nan
+        if on_beta:
+            matched = replace(params, beta=x)
+            residual, target = beta_family_residual(p, q, x, f)
+        report = None
+        # the matched profile at beta = 1/(p-1) has alpha = 1/p: no p-th moment
+        if not on_beta or alpha * p < 1.0 - 1e-12:
+            g = PowerLawFunction.from_mean_and_exponent(f, alpha)
+            report = hardy_deficit(g, matched)
+        points.append(SweepPoint(family, x, alpha, True, "", report, residual, target))
     return points

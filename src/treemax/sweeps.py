@@ -13,10 +13,11 @@ Within a cell, the trials go in row blocks. A block of at least
 thread and helper threads, one worker per CPU the process may use (the
 calling thread included), because numpy releases the GIL in such a block's
 draw, sweep and reductions; smaller blocks stay on the calling thread, where
-handing the GIL back and forth would cost more than it gains. A helper draws
-a block from its own generator set to the block's stream position, so the
-worker count changes no byte, and every helper is joined before the cell
-returns or raises.
+handing the GIL back and forth would cost more than it gains. One runner,
+``_evaluate_blocks``, schedules every block of a cell: each worker draws a
+block from its own generator set to the block's stream position, into a
+buffer it reuses from block to block, so the worker count changes no byte,
+and every helper is joined before the cell returns or raises.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import contextlib
 import copy
 import itertools
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,12 +149,9 @@ def evaluate_cell(
     generator is owned by the cell, so a (seed, cell) pair fully determines
     every number here. After a shape index and a level fraction per trial,
     the stream holds the leaf values shape by shape, trial by trial, one
-    double each, drawn and evaluated in row blocks of ``BLOCK_ELEMENTS``:
-    the small blocks here, in stream order, then the large ones (at least
-    ``BLOCK_ELEMENTS // 2`` leaf values) on every worker, each from its
-    stream state, while this generator only advances past them.
-    Out-of-domain parameters, tree shapes, trial counts or inequality keys
-    raise before anything is drawn.
+    double each, drawn and evaluated in row blocks of ``BLOCK_ELEMENTS`` by
+    :func:`_evaluate_blocks`. Out-of-domain parameters, tree shapes, trial
+    counts or inequality keys raise before anything is drawn.
     """
     IneqParams(p, q, beta)  # validates the parameter triple
     if not set(inequalities) <= set(BATTERY_INEQUALITIES):
@@ -184,20 +181,14 @@ def evaluate_cell(
     )
     moment_keys = [k for k in inequalities if k != "1.2"]
 
-    def evaluate(block_rng, idx, tree, buffer=None):
-        # one row block: draw, sweep, reduce, and write every row's numbers;
-        # ``buffer`` is a worker's room for four arrays of the block's shape
+    def evaluate(block_rng, idx, tree, buffer):
+        # one row block: draw, sweep and reduce into ``buffer``, a worker's
+        # room for four arrays of the block's shape, and write every row's numbers
         rows, leaves = idx.size, tree.leaf_count
-        if buffer is None:
-            v = mixture_values(block_rng, rows, leaves)
-            m = batch_maximal_leaves(v, tree.arity, tree.depth)
-            moments = tree_moments(v, m, p, q)
-        else:
-            v, m, *scratch = buffer[: 4 * rows * leaves].reshape(4, rows, leaves)
-            mixture_values(block_rng, rows, leaves, out=v)
-            batch_maximal_leaves(v, tree.arity, tree.depth, out=m)
-            moments = tree_moments(v, m, p, q, out=scratch)
-        f, big_f, j0[idx], j1, jq = moments
+        v, m, *scratch = buffer[: 4 * rows * leaves].reshape(4, rows, leaves)
+        mixture_values(block_rng, rows, leaves, out=v)
+        batch_maximal_leaves(v, tree.arity, tree.depth, out=m)
+        f, big_f, j0[idx], j1, jq = tree_moments(v, m, p, q, out=scratch)
         out.f[idx], out.F[idx] = f, big_f
         if "1.2" in out.lhs:
             lam = lam_frac[idx] * m.max(axis=1)
@@ -206,18 +197,11 @@ def evaluate_cell(
         for key in moment_keys:
             out.rhs[key][idx] = right_hand_side(key, p, q, beta, fp, j1, jq)
 
-    large = []  # (stream state, rows, tree) of every large block
+    blocks = []
     for s, tree in enumerate(trees):
         rows = np.nonzero(shape_idx == s)[0]
-        leaves = tree.leaf_count
-        for block in _row_blocks(rows.size, leaves):
-            idx = rows[block]
-            if idx.size * leaves >= BLOCK_ELEMENTS // 2:
-                large.append((rng.bit_generator.state, idx, tree))
-                rng.bit_generator.advance(idx.size * leaves)
-            else:
-                evaluate(rng, idx, tree)
-    _evaluate_large_blocks(evaluate, large, rng.bit_generator)
+        blocks += [(rows[block], tree) for block in _row_blocks(rows.size, tree.leaf_count)]
+    _evaluate_blocks(evaluate, rng, blocks)
     return out
 
 
@@ -229,56 +213,59 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _evaluate_large_blocks(evaluate, blocks, bit_generator) -> None:
-    """``evaluate(rng, rows, tree, buffer)`` on every block of ``blocks``,
-    ``(stream state, rows, tree)`` each, by the calling thread and helper
-    threads: one worker per CPU this process may use, at most one per block.
+def _evaluate_blocks(evaluate, rng, blocks) -> None:
+    """``evaluate(rng, rows, tree, buffer)`` on every ``(rows, tree)`` block
+    of ``blocks``, which are in stream order from ``rng``'s position on.
 
-    Each worker takes the next block nobody has taken until none is left.
-    It draws from its own generator, set to the block's state, into its own
-    buffer of four block-sized arrays, allocated here and reused from block
-    to block, so which worker takes a block changes no bit. After an error
-    or an interrupt no further block starts; every helper is joined before
-    this returns or raises, and an error raised on a helper is raised here.
+    The small blocks (fewer than ``BLOCK_ELEMENTS // 2`` leaf values) run
+    first, on the calling thread, in stream order, from ``rng``, which only
+    advances past a large block and records its state. The large blocks then
+    go to the calling thread and helper threads: one worker per CPU this
+    process may use, at most one per large block. Each worker takes the next
+    block nobody has taken until none is left, and draws it from its own
+    generator, set to the block's state, into its own buffer of four
+    block-sized arrays, reused from block to block, so which worker takes a
+    block changes no bit. After an error or an interrupt no further block
+    starts; every helper is joined before this returns or raises, and an
+    error raised on a helper is raised here.
     """
-    if not blocks:
-        return
-    size = max(idx.size * tree.leaf_count for _, idx, tree in blocks)
-    workers = min(_worker_count(), len(blocks))
+    sizes = [rows.size * tree.leaf_count for rows, tree in blocks]
+    workers = max(1, min(_worker_count(), sum(size >= BLOCK_ELEMENTS // 2 for size in sizes)))
     # one array holds every worker's buffer: separate ones, all freed at the
     # end of a cell, went back to the OS and were faulted in again each cell
-    own = [
-        (np.random.Generator(copy.copy(bit_generator)), buffer)
-        for buffer in np.empty((workers, 4 * size))
-    ]
-    taken, stop, errors = itertools.count(), [], []
+    buffers = np.empty((workers, 4 * max(sizes)))
+    large = []  # (stream state, rows, tree) of every large block
+    for (rows, tree), size in zip(blocks, sizes):
+        if size >= BLOCK_ELEMENTS // 2:
+            large.append((rng.bit_generator.state, rows, tree))
+            rng.bit_generator.advance(size)
+        else:
+            evaluate(rng, rows, tree, buffers[0])
+    if not large:
+        return  # no executor: a run of small blocks loads no thread machinery
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(rng, buffer):
-        while not stop and (i := next(taken)) < len(blocks):
-            state, idx, tree = blocks[i]
-            rng.bit_generator.state = state
-            evaluate(rng, idx, tree, buffer)
+    taken, stop = itertools.count(), []
 
-    def run_on_helper(rng, buffer):
+    def run(buffer):
+        worker_rng = np.random.Generator(copy.copy(rng.bit_generator))
         try:
-            run(rng, buffer)
-        except BaseException as exc:  # raised again on the calling thread
-            errors.append(exc)
-            stop.append(True)
+            while not stop and (i := next(taken)) < len(large):
+                state, rows, tree = large[i]
+                worker_rng.bit_generator.state = state
+                evaluate(worker_rng, rows, tree, buffer)
+        finally:
+            stop.append(True)  # no block is left, or an error stops every worker
 
-    helpers = []
-    try:
-        for rng_buffer in own[1:]:
-            helper = threading.Thread(target=run_on_helper, args=rng_buffer)
-            helper.start()
-            helpers.append(helper)
-        run(*own[0])
-    finally:
-        stop.append(True)  # once the calling thread is done, every block is taken
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    # the pool starts one thread per helper; the calling thread is worker 0
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            helpers = [pool.submit(run, buffer) for buffer in buffers[1:]]
+            run(buffers[0])
+        finally:
+            stop.append(True)
+    for helper in helpers:
+        helper.result()  # a helper's error, raised again
 
 
 def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellOutcome:
@@ -537,13 +524,13 @@ def oracle_sup(
     improving = 0
     stall = 0
     for _ in range(SWAP_ROUNDS):
+        if stall >= STALL_LIMIT:
+            break
+        stall += 1  # reset below by an improving swap
         i = rng.integers(0, n, SWAP_BATCH)
         j = rng.integers(0, n, SWAP_BATCH)
         keep = (i != j) & (current[i] != current[j])
         if not keep.any():
-            stall += 1
-            if stall >= STALL_LIMIT:
-                break
             continue
         i, j = i[keep], j[keep]
         candidates = np.repeat(current[None, :], i.size, axis=0)
@@ -558,13 +545,8 @@ def oracle_sup(
             current = candidates[k]
             improving += 1
             stall = 0
-        else:
-            stall += 1
-            if stall >= STALL_LIMIT:
-                break
     if current_value > best_value:
         best_value = current_value
-        best = current
         best_from = "swaps"
 
     summary = {

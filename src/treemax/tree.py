@@ -124,10 +124,6 @@ class StepFunction:
         values.setflags(write=False)
         object.__setattr__(self, "leaf_values", values)
 
-    def integral(self) -> float:
-        """Exact integral over X, i.e. the measure-weighted sum of leaves."""
-        return float(self.leaf_values.sum()) * self.tree.leaf_measure
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StepFunction)

@@ -28,6 +28,16 @@ CASES = {
             "summary.json": "c667866736270d4b88fbb3d2d29fbce05bf57caa6fa0dc02fcf5004076621f7d",
         },
     ),
+    # five cells draw two large row blocks each, on every worker, next to
+    # their small blocks on the calling thread
+    "verify-grid-mixed-blocks": (
+        "verify --ineq grid --trials 200 --seed 4 --output rows.csv --summary summary.json",
+        {
+            "stdout": EMPTY,
+            "rows.csv": "e3fa26f7a843abfe45484aec30e1b44c9fe4372c6b4eb6188a4b7103a54424c1",
+            "summary.json": "247f0fb606e93cba9ccf2bbdea869325e18e142115d249fe2e9a21bf07e7654a",
+        },
+    ),
     "verify-1.9": (
         "verify --ineq 1.9 --p 3 --q 2 --beta 0.5 --trials 40 --depth 5 --seed 11"
         " --output rows.csv --summary summary.json",

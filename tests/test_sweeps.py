@@ -162,8 +162,8 @@ class TestEvaluateCell:
         q = {"one": 1.0, "mid": (1.0 + p) / 2.0, "p": p}[q_kind]
         draws = []
 
-        def recording(rng, rows, cols):
-            values = mixture_values(rng, rows, cols)
+        def recording(rng, rows, cols, out=None):
+            values = mixture_values(rng, rows, cols, out=out)
             draws.append(values.copy())
             return values
 
@@ -396,7 +396,7 @@ class TestLargeBlockWorkers:
         real = sweeps.batch_maximal_leaves
 
         def recording(*args, **kwargs):
-            if "out" in kwargs and sweeps.BLOCK_ELEMENTS == 1 << 14 and sweeps._worker_count() == 2:
+            if args[2] == 14 and sweeps.BLOCK_ELEMENTS == 1 << 14 and sweeps._worker_count() == 2:
                 ran_on.add(threading.get_ident())
                 barrier.wait()  # each of the two workers takes one of the two blocks
             return real(*args, **kwargs)

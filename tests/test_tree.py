@@ -110,7 +110,7 @@ class TestStepFunction:
 
     def test_integral_is_weighted_sum(self):
         phi = StepFunction(Tree(2, 2), [4, 2, 1, 1])
-        assert phi.integral() == 2.0
+        assert moment(phi, 1.0) == 2.0
 
 
 class TestMoment:
