@@ -39,7 +39,6 @@ from .inequalities import (
 )
 from .maximal import (
     Linearization,
-    MaximalResult,
     averages,
     level_approximation,
     linearize,

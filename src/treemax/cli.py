@@ -61,10 +61,12 @@ def _scalar_json(obj) -> str:
         return str(int(obj))
     if obj is None:
         return "null"
-    return json.dumps(str(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"no JSON form for a {type(obj).__name__}")
 
 
-_CHUNK = 4096  # sequence items formatted by one ``%`` or ``join``
+_CHUNK = 4096  # array items formatted by one ``%`` or ``join``
 
 
 class _IntMap(NamedTuple):
@@ -86,19 +88,12 @@ def _chunk_json(chunk: list, kind: str) -> str:
     return ", ".join(map(_scalar_json, chunk))
 
 
-def _sequence_pieces(obj):
-    """A list, tuple or array of scalars, ``_CHUNK`` items at a time."""
-    if isinstance(obj, np.ndarray):
-        kind = obj.dtype.kind
-    else:
-        types = set(map(type, obj))
-        kind = "f" if types <= {float} else "i" if types == {int} else "O"
+def _array_pieces(obj: np.ndarray):
+    """An array of scalars, ``_CHUNK`` items at a time."""
     yield "["
-    for start in range(0, len(obj), _CHUNK):
-        chunk = obj[start : start + _CHUNK]
-        yield (", " if start else "") + _chunk_json(
-            chunk.tolist() if isinstance(chunk, np.ndarray) else chunk, kind
-        )
+    for start in range(0, obj.size, _CHUNK):
+        chunk = obj[start : start + _CHUNK].tolist()
+        yield (", " if start else "") + _chunk_json(chunk, obj.dtype.kind)
     yield "]"
 
 
@@ -115,11 +110,6 @@ def _int_map_pieces(obj: _IntMap, indent: int):
     yield "\n" + " " * indent + "}"
 
 
-def _key_json(key) -> str:
-    key = str(key)
-    return f'"{key}"' if key.isascii() and key.isdigit() else json.dumps(key)
-
-
 def _json_pieces(obj, indent: int = 0):
     """The text of :func:`to_json`, in pieces of bounded size."""
     if isinstance(obj, dict):
@@ -129,14 +119,14 @@ def _json_pieces(obj, indent: int = 0):
         pad = " " * indent
         separator = "{\n"
         for k, v in obj.items():
-            yield f"{separator}{pad}  {_key_json(k)}: "
+            yield f"{separator}{pad}  {json.dumps(str(k))}: "
             yield from _json_pieces(v, indent + 2)
             separator = ",\n"
         yield f"\n{pad}}}"
     elif isinstance(obj, _IntMap):
         yield from _int_map_pieces(obj, indent)
-    elif isinstance(obj, (np.ndarray, list, tuple)):
-        yield from _sequence_pieces(obj)
+    elif isinstance(obj, np.ndarray):
+        yield from _array_pieces(obj)
     else:
         yield _scalar_json(obj)
 
@@ -144,7 +134,8 @@ def _json_pieces(obj, indent: int = 0):
 def to_json(obj, indent: int = 0) -> str:
     """JSON with insertion-ordered keys and 17-significant-digit floats.
 
-    Lists, tuples and arrays hold scalars only in every payload.
+    A sequence is a one-dimensional numpy array of scalars; no payload
+    holds a list or a tuple.
     """
     return "".join(_json_pieces(obj, indent))
 
@@ -225,8 +216,7 @@ def cmd_maximal(args) -> int:
     can fail runs before its first byte."""
     phi = load_step_function(args.input)
     lin = linearize(phi)
-    result = lin.result
-    exact = bool(np.array_equal(reconstruct_maximal(lin), result.m_phi.leaf_values))
+    exact = bool(np.array_equal(reconstruct_maximal(lin), lin.m_phi.leaf_values))
     config = {
         "command": "maximal",
         "input": args.input,
@@ -237,8 +227,8 @@ def cmd_maximal(args) -> int:
     payload = {
         "config": config,
         "phi": phi.leaf_values,
-        "m_phi": result.m_phi.leaf_values,
-        "attaining_node": result.attaining_node,
+        "m_phi": lin.m_phi.leaf_values,
+        "attaining_node": lin.attaining_node,
         "linearization": {
             "s_phi": lin.s_phi,
             "a": lin.mass,
@@ -248,7 +238,7 @@ def cmd_maximal(args) -> int:
         "moments": {
             "f": moment(phi, 1.0),
             "F_p": moment(phi, args.p),
-            "maximal_p": moment(result.m_phi, args.p),
+            "maximal_p": moment(lin.m_phi, args.p),
         },
         "reconstruction_exact": exact,
     }

@@ -86,37 +86,25 @@ def averages(phi: StepFunction) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MaximalResult:
-    """Maximal function of a step function plus per-leaf attaining nodes:
-    ``attaining_node[i]`` is the id of the shallowest ancestor of leaf i whose
-    average realizes the maximum, so a tie resolves to the ancestor."""
-
-    phi: StepFunction
-    m_phi: StepFunction
-    attaining_node: np.ndarray
-
-
-def maximal_function(phi: StepFunction) -> MaximalResult:
-    """Evaluate the tree maximal operator by a single prefix-max sweep."""
-    return linearize(phi).result
-
-
-@dataclass(frozen=True)
 class Linearization:
-    """The average-attaining partition of X induced by a step function.
+    """The maximal function of a step function and the average-attaining
+    partition of X it induces.
 
     ``s_phi`` always contains the root and is sorted by node id (level-major,
-    so the root comes first). The other arrays run parallel to it: ``mass``
-    holds each member's mass a, ``average`` its average y, and
+    so the root comes first). The next three arrays run parallel to it:
+    ``mass`` holds each member's mass a, ``average`` its average y, and
     ``star_parent`` the smallest member strictly containing it (-1 for the
-    root). ``result`` is the maximal function the partition was read from.
+    root). ``m_phi`` is the maximal function the partition was read from, and
+    ``attaining_node[i]`` the id of the shallowest ancestor of leaf i whose
+    average realizes the maximum, so a tie resolves to the ancestor.
     """
 
     s_phi: np.ndarray
     mass: np.ndarray
     average: np.ndarray
     star_parent: np.ndarray
-    result: MaximalResult
+    m_phi: StepFunction
+    attaining_node: np.ndarray
 
     @property
     def a_mass(self) -> dict[int, float]:
@@ -132,6 +120,11 @@ class Linearization:
         return dict(zip(self.s_phi[1:].tolist(), self.star_parent[1:].tolist()))
 
 
+def maximal_function(phi: StepFunction) -> Linearization:
+    """Evaluate the tree maximal operator by a single prefix-max sweep."""
+    return linearize(phi)
+
+
 def linearize(phi: StepFunction) -> Linearization:
     """The maximal function, its attaining nodes, and the attaining-node
     partition with its masses and star map, read off one prefix-max sweep.
@@ -145,7 +138,9 @@ def linearize(phi: StepFunction) -> Linearization:
     """
     tree = phi.tree
     running = _levels_of(phi)
-    running[-1] = _prefix_max(running, tree.arity)
+    best = np.empty(tree.leaf_count)  # the one leaf array m_phi keeps
+    running[-1] = _prefix_max(running, tree.arity, best[None, :])
+    best.setflags(write=False)
     # rises are numbered in level-major order, the root first; ``owner`` holds
     # the number of the rise each node of the current level attains at, and
     # each level adds the id, the average and the star of each of its rises
@@ -160,7 +155,7 @@ def linearize(phi: StepFunction) -> Linearization:
     ids, average, star = (np.concatenate(column) for column in zip(*rises))
     del rises
     counts = np.bincount(owner, minlength=count)
-    best, attaining = running[-1][0], ids[owner]
+    attaining = ids[owner]
     del running, owner  # free what the result does not keep
     # A rounded mean can lie below all of its children (three equal ones, say):
     # such a node rises although no leaf attains there, so it is no member and
@@ -173,13 +168,13 @@ def linearize(phi: StepFunction) -> Linearization:
     star_parent = ids[star[member]]
     star_parent[0] = -1
     mass = counts[member] * tree.leaf_measure
-    result = MaximalResult(phi, StepFunction(tree, best), attaining)
-    return Linearization(ids[member], mass, average[member], star_parent, result)
+    m_phi = StepFunction(tree, best)
+    return Linearization(ids[member], mass, average[member], star_parent, m_phi, attaining)
 
 
 def reconstruct_maximal(lin: Linearization) -> np.ndarray:
     """Per-leaf maximal values rebuilt from the linearization weights."""
-    return lin.average[np.searchsorted(lin.s_phi, lin.result.attaining_node)]
+    return lin.average[np.searchsorted(lin.s_phi, lin.attaining_node)]
 
 
 def level_approximation(phi: StepFunction, level: int) -> StepFunction:

@@ -32,6 +32,7 @@ def _level_offsets(arity: int, depth: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
+@dataclass(frozen=True)
 class Tree:
     """Uniform ``arity``-ary tree of the given depth over a probability space.
 
@@ -49,22 +50,27 @@ class Tree:
     ``arity**(-level)``.
     """
 
-    __slots__ = ("arity", "depth", "offsets", "node_count", "leaf_count")
+    arity: int
+    depth: int
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    node_count: int = field(init=False, repr=False, compare=False)
+    leaf_count: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, arity: int, depth: int):
-        if arity < 2:
-            raise DomainError(f"arity must be >= 2, got {arity}")
-        if depth < 0:
-            raise DomainError(f"depth must be >= 0, got {depth}")
-        if arity**depth > NODE_BUDGET:
+    def __post_init__(self):
+        if self.arity < 2:
+            raise DomainError(f"arity must be >= 2, got {self.arity}")
+        if self.depth < 0:
+            raise DomainError(f"depth must be >= 0, got {self.depth}")
+        leaves = self.arity**self.depth
+        if leaves > NODE_BUDGET:
             raise SizeError(
-                f"arity**depth = {arity}**{depth} exceeds the node budget {NODE_BUDGET}"
+                f"arity**depth = {self.arity}**{self.depth} exceeds the node budget {NODE_BUDGET}"
             )
-        self.arity = arity
-        self.depth = depth
-        self.offsets = _level_offsets(arity, depth)
-        self.node_count = int(self.offsets[-1])
-        self.leaf_count = arity**depth
+        offsets = _level_offsets(self.arity, self.depth)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "node_count", int(offsets[-1]))
+        object.__setattr__(self, "leaf_count", leaves)
 
     # -- node addressing -------------------------------------------------
 
@@ -85,26 +91,14 @@ class Tree:
     def leaf_measure(self) -> float:
         return self.measure_at_level(self.depth)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tree)
-            and other.arity == self.arity
-            and other.depth == self.depth
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.arity, self.depth))
-
-    def __repr__(self) -> str:
-        return f"Tree(arity={self.arity}, depth={self.depth})"
-
 
 @dataclass(frozen=True)
 class StepFunction:
     """Nonnegative function constant on the leaves of a tree's deepest level.
 
     ``leaf_values[i]`` is the value on the i-th leaf in canonical depth-first
-    left-to-right order. The array is copied and frozen at construction.
+    left-to-right order. A read-only array that owns its memory is kept;
+    anything else, a writable array or a view, is copied and frozen.
     """
 
     tree: Tree
@@ -120,8 +114,9 @@ class StepFunction:
             raise DomainError("leaf values must be finite")
         if np.any(values < 0):
             raise DomainError("leaf values must be nonnegative")
-        values = values.copy()
-        values.setflags(write=False)
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.setflags(write=False)
         object.__setattr__(self, "leaf_values", values)
 
     def __eq__(self, other) -> bool:
@@ -199,4 +194,5 @@ def load_step_function(path) -> StepFunction:
         raise ShapeError(
             f"expected {tree.leaf_count} leaf values, got shape {(values.size + extra,)}"
         )
+    values.setflags(write=False)  # kept by StepFunction, not copied
     return StepFunction(tree, values)

@@ -72,8 +72,8 @@ class TestSerialization:
 
     def test_containers(self):
         assert to_json({}) == "{}"
-        assert to_json([]) == "[]"
-        nested = {"a": {"b": [1, 2.5], "c": {}}, "d": np.array([1.0, np.nan])}
+        assert to_json(np.array([])) == "[]"
+        nested = {"a": {"b": np.array([1, 2.5]), "c": {}}, "d": np.array([1.0, np.nan])}
         assert to_json(nested) == (
             '{\n  "a": {\n    "b": [1, 2.5],\n    "c": {}\n  },\n  "d": [1, NaN]\n}'
         )
@@ -86,10 +86,10 @@ class TestSerialization:
             [0.0, -0.0, 1.0, 5e-324, -1.7976931348623157e308, 1e16, 123456789.0],
         ))
         sequences = [
-            floats, floats.tolist(), tuple(floats.tolist()), floats[:50].astype(np.float32),
-            np.append(floats, np.nan), np.append(floats, -np.inf), floats.tolist() + [np.inf],
+            floats, floats[:50].astype(np.float32),
+            np.append(floats, np.nan), np.append(floats, -np.inf), np.append(floats, np.inf),
             rng.integers(-10**12, 10**12, 40), rng.integers(0, 200, 40).astype(np.uint8),
-            [3, -4, 0], [1, 2.5], [True, 1], np.array([True, False]), [np.float64(0.1), 0.2],
+            np.array([3, -4, 0]), np.array([1, 2.5]), np.array([True, False]),
         ]
         for values in sequences:
             expected = ", ".join(to_json(x) for x in list(values))
@@ -104,7 +104,7 @@ class TestSerialization:
         non-finite value, and read as the values one by one."""
         monkeypatch.setattr(cli, "_CHUNK", 3)
         floats = [0.1, 2.0, 1e300, 5e-324, -0.0, np.nan, 7.25, np.inf]
-        for values in (np.array(floats), floats, np.arange(-4, 4), [1, 2.5, True, None]):
+        for values in (np.array(floats), np.arange(-4, 4), np.array([True, False] * 4)):
             expected = ", ".join(to_json(x) for x in list(values))
             assert to_json(values) == f"[{expected}]"
         assert to_json(cli._IntMap(np.arange(1, 8), np.arange(7) // 2), indent=2) == (
@@ -112,6 +112,11 @@ class TestSerialization:
             '    "6": 2,\n    "7": 3\n  }'
         )
         assert to_json(cli._IntMap(np.arange(0), np.arange(0))) == "{}"
+
+    def test_lists_and_objects_are_not_written(self):
+        for value in ([1, 2.5], (1, 2), {"a": [0.5]}, object()):
+            with pytest.raises(TypeError):
+                to_json(value)
 
     def test_key_order_preserved(self):
         assert to_json({"b": 1, "a": 2}).index('"b"') < to_json({"b": 1, "a": 2}).index('"a"')

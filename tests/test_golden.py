@@ -109,6 +109,15 @@ CASES = {
             "maximal.json": "6641bb2272edb6a52d1964bea742714ce8240b4349421f529f6b72aa5a033424",
         },
     ),
+    # 8192 leaves and 4330 members: every array and the star map span more
+    # than one 4096-item piece of the JSON writer
+    "maximal-multichunk": (
+        "maximal --input phi.csv --p 2.5 --output maximal.json",
+        {
+            "stdout": EMPTY,
+            "maximal.json": "a49a195e49eea44c2cdbf803947259fd8532004deea04625e5a98c353d730c43",
+        },
+    ),
     "oracle": (
         "oracle --p 2 --f 1 --F 2 --depth 6 --budget 20 --seed 5",
         {"stdout": "648fd7049179c646a84e3d6d440068173f5deb402ac28b4354594217698b55cc"},
@@ -157,6 +166,12 @@ def _write_tie_heavy_phi(path) -> None:
     save_step_function(StepFunction(Tree(3, 6), values), path)
 
 
+def _write_multichunk_phi(path) -> None:
+    """A 2**13-leaf step function of exponential values rounded to 3 places."""
+    values = np.round(np.random.default_rng(2313).exponential(1.0, 2**13), 3)
+    save_step_function(StepFunction(Tree(2, 13), values), path)
+
+
 def _write_steep_profile(path) -> None:
     """``t**-0.5`` at the right ends of 51 pieces of six decades each, from
     1e-300 to 1, as ``t,value`` rows."""
@@ -169,6 +184,7 @@ INPUTS = {
     "maximal": _write_seeded_phi,
     "maximal-ternary-ties": _write_tie_heavy_phi,
     "maximal-output": _write_tie_heavy_phi,
+    "maximal-multichunk": _write_multichunk_phi,
     "symmetrize-refined": _write_steep_profile,
 }
 

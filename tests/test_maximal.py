@@ -207,7 +207,7 @@ class TestLinearize:
         phi = StepFunction(tree, reference_leaves(rng, tree, kind))
         lin = linearize(phi)
         attain, members, mass, star = brute_force_linearization(phi)
-        np.testing.assert_array_equal(lin.result.attaining_node, attain)
+        np.testing.assert_array_equal(lin.attaining_node, attain)
         assert lin.s_phi.tolist() == members
         assert lin.mass.tolist() == mass
         assert lin.star_parent.tolist() == star
@@ -232,7 +232,7 @@ class TestLinearize:
         assert avg[0] < avg[1] < a
         lin = linearize(phi)
         attain, members, mass, star = brute_force_linearization(phi)
-        np.testing.assert_array_equal(lin.result.attaining_node, attain)
+        np.testing.assert_array_equal(lin.attaining_node, attain)
         assert members == [0, 4, 5, 6]
         assert lin.s_phi.tolist() == members
         assert lin.mass.tolist() == mass
@@ -329,7 +329,7 @@ class TestLinearize:
     def test_reconstruction_matches_maximal_exactly(self, rng):
         phi = random_step_function(rng, arity=3, depth=4)
         lin = linearize(phi)
-        m_phi = lin.result.m_phi.leaf_values
+        m_phi = lin.m_phi.leaf_values
         np.testing.assert_array_equal(reconstruct_maximal(lin), m_phi)
         np.testing.assert_array_equal(m_phi, maximal_function(phi).m_phi.leaf_values)
 

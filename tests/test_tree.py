@@ -1,5 +1,8 @@
 """Tree construction, step functions, and exact moments."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,17 @@ class TestBuildUniformTree:
         assert measures == sorted(measures, reverse=True)
         assert measures[-1] == 3.0**-5
 
+    def test_frozen(self):
+        tree = Tree(2, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tree.depth = 9
+        with pytest.raises(ValueError):
+            tree.offsets[1] = 5
+        assert (tree.leaf_count, tree.node_count) == (8, 15)
+        assert tree == Tree(2, 3) and tree != Tree(2, 9)
+        assert hash(tree) == hash((2, 3))
+        assert repr(tree) == "Tree(arity=2, depth=3)"
+
     def test_ancestor_chain(self):
         tree = Tree(2, 3)
         chain = [int(tree.offsets[3]) + 5]
@@ -107,6 +121,25 @@ class TestStepFunction:
         phi = StepFunction(Tree(2, 1), [1.0, 2.0])
         with pytest.raises(ValueError):
             phi.leaf_values[0] = 3.0
+
+    def test_writable_array_is_copied(self):
+        values = np.array([1.0, 2.0])
+        phi = StepFunction(Tree(2, 1), values)
+        values[0] = 7.0
+        np.testing.assert_array_equal(phi.leaf_values, [1.0, 2.0])
+
+    def test_read_only_view_is_copied(self):
+        base = np.array([1.0, 2.0, 3.0, 4.0])
+        view = base[:2]
+        view.setflags(write=False)
+        phi = StepFunction(Tree(2, 1), view)
+        base[0] = 7.0
+        np.testing.assert_array_equal(phi.leaf_values, [1.0, 2.0])
+
+    def test_frozen_owned_array_is_kept(self):
+        values = np.array([1.0, 2.0])
+        values.setflags(write=False)
+        assert StepFunction(Tree(2, 1), values).leaf_values is values
 
     def test_integral_is_weighted_sum(self):
         phi = StepFunction(Tree(2, 2), [4, 2, 1, 1])
@@ -206,3 +239,19 @@ class TestStepFunctionFile:
         path.write_text("2,1\n1.0\n-2.0\n")
         with pytest.raises(DomainError):
             load_step_function(path)
+
+    def test_load_peak_memory_per_leaf(self, tmp_path):
+        """The parsed array is the function's own, so loading holds about
+        one leaf array of 8 bytes a leaf, not a second copy."""
+        leaves = 2**16
+        path = tmp_path / "phi.csv"
+        values = np.random.default_rng(16).exponential(1.0, leaves)
+        save_step_function(StepFunction(Tree(2, 16), values), path)
+        load_step_function(path)  # one-time caches are not counted
+        tracemalloc.start()
+        try:
+            load_step_function(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * leaves, f"{peak / leaves:.1f} bytes per leaf"
