@@ -22,12 +22,10 @@ from .errors import (
     SizeError,
 )
 from .inequalities import (
-    Constants,
     DeficitReport,
     IneqParams,
     SweepPoint,
     beta_family_residual,
-    constants,
     coupling_constant,
     deficit,
     extremizer_sweep,
@@ -36,6 +34,7 @@ from .inequalities import (
     root_function,
     second_constant,
     sharpness_G,
+    t_beta,
 )
 from .maximal import (
     Linearization,

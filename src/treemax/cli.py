@@ -5,7 +5,7 @@ run can be replayed exactly; floats are printed with 17 significant digits
 and row/key order is fixed, making equal-seed runs byte-identical.
 
 Exit status: 0 on success, 1 on validation errors (bad flags, unreadable
-input, out-of-domain parameters, results that overflow), 2 when a
+input, out-of-domain parameters, overflowing results, no memory), 2 when a
 mathematically guaranteed invariant is violated beyond rounding slack.
 """
 from __future__ import annotations
@@ -464,6 +464,9 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: floating-point overflow: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     # every package error is a ValueError; a RuntimeError here is a battery
     # CSV worker that died (BrokenProcessPool)

@@ -80,54 +80,22 @@ def root_function(t: float, p: float, q: float, coupling: float) -> float:
     return coupling + t ** (q - 1.0) * ((q - 1.0) * t - q * (p - 1.0) / p)
 
 
-@dataclass(frozen=True)
-class Constants:
-    """All derived constants of one parameter triple (p, q, beta).
-
-    ``t_beta`` is the unique root of :func:`root_function` at or above
-    ``t0``. ``1/(beta+1)`` is always a root, and it lies at or above ``t0``
-    exactly when beta <= 1/(p-1); past that the root is bisected. For q == 1
-    the root function degenerates to zero everywhere, so ``t_beta`` carries
-    the continuous-in-q value ``1/(beta+1)``.
-    """
-
-    A: float
-    c1: float
-    c2: float
-    t0: float
-    t_beta: float
-    h_val: float
-
-
-def _locate_t_beta(p: float, q: float, coupling: float, beta: float) -> float:
-    """The root above ``t0`` for beta > 1/(p-1), where the root function is
-    negative at ``t0``."""
-    t0 = (p - 1.0) / p
+def t_beta(p: float, q: float, beta: float) -> float:
+    """The unique root of :func:`root_function` at or above ``t0 = (p-1)/p``.
+    ``1/(beta+1)`` is always a root, and it lies at or above ``t0`` exactly
+    when beta <= 1/(p-1); past that the root function is negative at ``t0``
+    and the root is bisected. For q == 1 the root function vanishes
+    everywhere, and this is the continuous-in-q value ``1/(beta+1)``."""
+    IneqParams(p, q, beta)  # validates the parameter triple
+    if q == 1.0 or beta <= 1.0 / (p - 1.0):
+        return 1.0 / (beta + 1.0)
+    coupling = coupling_constant(p, q, beta)
     hi = max(1.0, 1.0 / (beta + 1.0) + 1.0)
     while root_function(hi, p, q, coupling) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise InvariantViolation("failed to bracket the envelope root")
-    return _bisect(lambda t: root_function(t, p, q, coupling) < 0.0, t0, hi)
-
-
-def constants(params: IneqParams) -> Constants:
-    """Fill every derived constant for the parameter triple."""
-    p, q, beta = params.p, params.q, params.beta
-    coupling = coupling_constant(p, q, beta)
-    t0 = (p - 1.0) / p
-    if q == 1.0 or beta <= 1.0 / (p - 1.0):
-        t_beta = 1.0 / (beta + 1.0)
-    else:
-        t_beta = _locate_t_beta(p, q, coupling, beta)
-    return Constants(
-        A=coupling,
-        c1=first_constant(p, q, beta),
-        c2=second_constant(p, q, beta),
-        t0=t0,
-        t_beta=t_beta,
-        h_val=coupling,
-    )
+    return _bisect(lambda t: root_function(t, p, q, coupling) < 0.0, (p - 1.0) / p, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +113,16 @@ def right_hand_side(inequality: str, p: float, q: float, beta: float, fp, j1, jq
 
     (1.7) is the two-term bound with q = 1, (1.8) its q-parameterized
     sharpening, (1.9) the (q, beta) family containing both. The line
-    inequality (1.10) shares the (1.9) right-hand side.
+    inequality (1.10) shares the (1.9) right-hand side. An overflow gives
+    ``inf`` or ``nan`` unwarned (numpy's error state is per thread, so it is
+    set here); the battery rejects such a row.
     """
-    if inequality == "1.7":
-        return p / (p - 1.0) * j1 - fp / (p - 1.0)
-    if inequality == "1.8":
-        return (p / (p - 1.0)) ** q * jq - q / (p - 1.0) * fp
-    return second_constant(p, q, beta) * jq - first_constant(p, q, beta) * fp
+    with np.errstate(over="ignore", invalid="ignore"):
+        if inequality == "1.7":
+            return p / (p - 1.0) * j1 - fp / (p - 1.0)
+        if inequality == "1.8":
+            return (p / (p - 1.0)) ** q * jq - q / (p - 1.0) * fp
+        return second_constant(p, q, beta) * jq - first_constant(p, q, beta) * fp
 
 
 def tree_moments(v: np.ndarray, m: np.ndarray, p: float, q: float, out=None):

@@ -85,7 +85,7 @@ def averages(phi: StepFunction) -> np.ndarray:
     return np.concatenate(_levels_of(phi), axis=1)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Linearization:
     """The maximal function of a step function and the average-attaining
     partition of X it induces.

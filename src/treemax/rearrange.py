@@ -26,7 +26,7 @@ _PANEL_ROWS = 1 << 12  # Gauss panels per _gauss_panels call: a ~1 MB node-value
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineStepFunction:
     """Step function on (0, 1]: ``values[i]`` on ``(breakpoints[i], breakpoints[i+1]]``.
 

@@ -114,13 +114,14 @@ def _row_blocks(rows: int, leaves: int) -> list[slice]:
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
-@dataclass
+@dataclass(eq=False)
 class CellOutcome:
     """Trial-ordered raw numbers of one parameter cell; a row's deficit is
     ``rhs - lhs`` in float64, computed where it is read.
 
-    The (1.7), (1.8) and (1.9) left-hand sides are all ``J0``, so their
-    ``lhs`` entries are one shared array: writing into one writes into all.
+    The keys of ``rhs`` name the cell's inequalities in row order. The
+    (1.7), (1.8) and (1.9) left-hand sides are all ``J0``, so their ``lhs``
+    entries are one shared array: writing into one writes into all.
     """
 
     p: float
@@ -298,21 +299,18 @@ def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellO
 # full battery with CSV emission
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "ineq,p,q,beta,seed,f,F,lhs,rhs"
-
-
 def cell_seed(base_seed: int, cell_index: int) -> int:
     """Stable per-cell sub-seed derived from the run seed."""
     ss = np.random.SeedSequence(entropy=(int(base_seed), int(cell_index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
-    """The CSV rows of one cell, one string per trial holding its row of
-    every inequality. Each distinct column array is formatted once (the
-    (1.7)/(1.8)/(1.9) ``lhs`` share one), then one row template is filled."""
+def format_cell_rows(outcome: CellOutcome) -> str:
+    """The CSV rows of one cell, trial by trial, each trial a row per
+    inequality of the record. Each distinct column array is formatted once
+    (the (1.7)/(1.8)/(1.9) ``lhs`` share one), then one template is filled."""
     columns = []
-    for k in inequalities:
+    for k in outcome.rhs:
         columns += [outcome.f, outcome.F, outcome.lhs[k], outcome.rhs[k]]
     text = {}
     for a in columns:
@@ -320,24 +318,24 @@ def format_cell_rows(outcome: CellOutcome, inequalities) -> list[str]:
             text[id(a)] = ["%.17g" % x for x in a.tolist()]
     template = "".join(
         f"{k},{outcome.p:.17g},{outcome.q:.17g},{outcome.beta:.17g},{outcome.seed},%s,%s,%s,%s\n"
-        for k in inequalities
+        for k in outcome.rhs
     )
-    return [template % fields for fields in zip(*(text[id(a)] for a in columns))]
+    return "".join([template % fields for fields in zip(*(text[id(a)] for a in columns))])
 
 
-def write_csv_header(sink, header_lines) -> None:
-    """Comment lines, then the column names."""
-    for line in header_lines:
-        sink.write(f"# {line}\n")
-    sink.write(CSV_HEADER + "\n")
-
-
-def _fold_cell(summary: dict, outcome: CellOutcome, inequalities) -> None:
-    """Fold one cell into the running ``summary``. A strict ``<`` keeps the
-    earliest cell, inequality and trial on a tie."""
-    for k in inequalities:
-        deficit = outcome.rhs[k] - outcome.lhs[k]
-        summary["violations"] += int(beyond_slack(deficit, outcome.rhs[k]).sum())
+def _fold_cell(summary: dict, outcome: CellOutcome) -> None:
+    """Fold one cell's inequalities into ``summary``. A strict ``<`` keeps
+    the earliest cell, inequality and trial on a tie; the first deficit that
+    is not finite raises ``OverflowError``."""
+    for k, rhs in outcome.rhs.items():
+        deficit = rhs - outcome.lhs[k]
+        bad = np.flatnonzero(~np.isfinite(deficit))
+        if bad.size:
+            raise OverflowError(
+                f"inequality ({k}) in cell p={outcome.p!r}, q={outcome.q!r}, beta={outcome.beta!r}, "
+                f"trial {bad[0]}: lhs={outcome.lhs[k][bad[0]]:.17g}, rhs={rhs[bad[0]]:.17g}"
+            )
+        summary["violations"] += int(beyond_slack(deficit, rhs).sum())
         i = int(np.argmin(deficit))
         if deficit[i] < summary["per_inequality"][k]:
             summary["per_inequality"][k] = float(deficit[i])
@@ -351,11 +349,6 @@ def _fold_cell(summary: dict, outcome: CellOutcome, inequalities) -> None:
                 "seed": outcome.seed,
                 "trial": i,
             }
-
-
-def _cell_text(outcome: CellOutcome, inequalities) -> str:
-    """All CSV rows of one cell as one string."""
-    return "".join(format_cell_rows(outcome, inequalities))
 
 
 def _format_pool():
@@ -390,19 +383,21 @@ def run_battery(
     ("1.10",)`` evaluates the line inequality on random profiles, and
     ``shapes`` is then unused.
 
-    One loop evaluates the cells in order and folds each into the summary.
-    With a ``csv_sink`` (any object with ``write``), one forked worker
-    formats each cell's rows while the loop evaluates the next cell, and the
-    loop writes them in cell order; the last cell, with nothing left to
-    overlap, is formatted in place, so a one-cell battery starts no process.
-    The worker never writes to ``csv_sink`` and is joined before this
-    returns or raises. Rows are in cell-major, trial-major, inequality-major
-    order with 17-significant-digit floats, so two runs with the same seed
-    produce byte-identical output.
+    One loop evaluates the cells in order and folds each into the summary
+    (a deficit that is not finite raises ``OverflowError``). With a
+    ``csv_sink`` (any object with ``write``), one forked worker formats each
+    cell's rows while the loop evaluates the next cell, and the loop writes
+    them in cell order; the last cell, with nothing left to overlap, is
+    formatted in place, so a one-cell battery starts no process. The worker
+    never writes to ``csv_sink`` and is joined before this returns or
+    raises. Rows are in cell-major, trial-major, inequality-major order with
+    17-significant-digit floats, so two runs with the same seed produce
+    byte-identical output.
     """
     cells = battery_cells() if cells is None else list(cells)
     if csv_sink is not None:
-        write_csv_header(csv_sink, header_lines)
+        comments = "".join(f"# {line}\n" for line in header_lines)
+        csv_sink.write(comments + "ineq,p,q,beta,seed,f,F,lhs,rhs\n")
     summary = {
         "min_deficit": np.inf,
         "argmin": None,
@@ -422,13 +417,13 @@ def run_battery(
                 last = index == len(cells) - 1
                 if not last and pool is None:
                     pool = stack.enter_context(_format_pool())
-                submitted = None if last else pool.submit(_cell_text, outcome, inequalities)
+                submitted = None if last else pool.submit(format_cell_rows, outcome)
                 if pending is not None:
                     csv_sink.write(pending.result())
                 pending = submitted
                 if last:
-                    csv_sink.write(_cell_text(outcome, inequalities))
-            _fold_cell(summary, outcome, inequalities)
+                    csv_sink.write(format_cell_rows(outcome))
+            _fold_cell(summary, outcome)
             del outcome  # release this cell before the next is drawn
     return summary
 

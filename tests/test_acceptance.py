@@ -20,7 +20,7 @@ from treemax import (
     Tree,
     bellman_value,
     beta_family_residual,
-    constants,
+    coupling_constant,
     deficit,
     discretize,
     h_p,
@@ -35,6 +35,7 @@ from treemax import (
     root_function,
     run_battery,
     sharpness_G,
+    t_beta,
 )
 
 BATTERY_SEED = 90210
@@ -185,15 +186,14 @@ def test_criterion_08_constants_coherence():
     for p, q in grid:
         beta0 = 1.0 / (p - 1.0)
         for beta in np.linspace(beta0 / 51.0, beta0 * 50.0 / 51.0, 50):
-            c = constants(IneqParams(p=p, q=q, beta=float(beta)))
-            worst_t = max(worst_t, abs(c.t_beta - 1.0 / (beta + 1.0)))
+            worst_t = max(worst_t, abs(t_beta(p, q, float(beta)) - 1.0 / (beta + 1.0)))
         for beta in np.linspace(beta0 * 1.02, beta0 * 4.0, 50):
-            c = constants(IneqParams(p=p, q=q, beta=float(beta)))
-            worst_root = max(worst_root, abs(root_function(c.t_beta, p, q, c.A)))
-        peak = constants(IneqParams(p=p, q=q, beta=beta0)).h_val
+            t, a = t_beta(p, q, float(beta)), coupling_constant(p, q, float(beta))
+            worst_root = max(worst_root, abs(root_function(t, p, q, a)))
+        peak = coupling_constant(p, q, beta0)
         worst_peak = max(worst_peak, abs(peak - ((p - 1.0) / p) ** q))
         for beta in np.geomspace(beta0 / 50.0, beta0 * 50.0, 100):
-            h = constants(IneqParams(p=p, q=q, beta=float(beta))).h_val
+            h = coupling_constant(p, q, float(beta))
             worst_peak = max(worst_peak, max(0.0, h - peak))
     ok = worst_t <= 1e-12 and worst_root <= 1e-12 and worst_peak <= 1e-12
     report(8, "constants coherence", ok,

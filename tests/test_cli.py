@@ -471,8 +471,8 @@ def test_config_echoes_every_option_in_parser_order(command, capsys, tmp_path, m
     assert config["command"] == command
 
 
-def _exit_in_worker(outcome, inequalities):
-    """Stands in for ``sweeps._cell_text``: the formatting worker dies."""
+def _exit_in_worker(outcome):
+    """Stands in for ``sweeps.format_cell_rows``: the formatting worker dies."""
     assert multiprocessing.parent_process() is not None, "formatted in the parent"
     os._exit(1)
 
@@ -490,7 +490,7 @@ class TestCsvWorker:
         return status, capfd.readouterr()
 
     def test_dead_worker_exits_one(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setattr(sweeps, "_cell_text", _exit_in_worker)
+        monkeypatch.setattr(sweeps, "format_cell_rows", _exit_in_worker)
         status, captured = self._grid(tmp_path, capfd)
         assert status == 1
         assert captured.err.startswith("error: ")
@@ -749,6 +749,36 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert status == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would raise, not print
+    @pytest.mark.parametrize("ineq", ["1.9", "1.10"])
+    def test_non_finite_battery_row_exits_one(self, capsys, tmp_path, ineq):
+        # c2 * Jq - c1 * f**p is inf - inf: the right-hand side of trial 0 is not finite
+        status = main([
+            "verify", "--ineq", ineq, "--p", "64", "--q", "64", "--beta", "1e-300",
+            "--trials", "3", "--depth", "2", "--seed", "0",
+            "--output", str(tmp_path / "rows.csv"), "--summary", str(tmp_path / "s.json"),
+        ])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.err.startswith(f"error: floating-point overflow: inequality ({ineq}) ")
+        assert "trial 0:" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exits_one(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_battery", exhausted)
+        status = main([
+            "verify", "--ineq", "1.7", "--trials", "3", "--depth", "2",
+            "--output", str(tmp_path / "rows.csv"), "--summary", str(tmp_path / "s.json"),
+        ])
+        assert status == 1
+        message = "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_grid_is_rejected(self, capsys):
         status = main(["sharpness", "--family", "g_beta", "--p", "2", "--grid", ""])

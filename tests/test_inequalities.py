@@ -12,7 +12,7 @@ from treemax import (
     Tree,
     bellman_value,
     beta_family_residual,
-    constants,
+    coupling_constant,
     deficit,
     discretize,
     extremizer_sweep,
@@ -21,6 +21,7 @@ from treemax import (
     root_function,
     second_constant,
     sharpness_G,
+    t_beta,
 )
 
 from treemax import rearrange
@@ -55,66 +56,70 @@ class TestConstants:
     def test_quadratic_cell(self):
         # p=q=2, beta=1/2: A = 2/9 and the root of t**2 - t + 2/9 above 1/2
         # is 2/3 = 1/(1+beta)
-        c = constants(IneqParams(p=2.0, q=2.0, beta=0.5))
-        assert c.A == pytest.approx(2.0 / 9.0, abs=1e-15)
-        assert c.t_beta == pytest.approx(2.0 / 3.0, abs=1e-13)
-        assert abs(root_function(c.t_beta, 2.0, 2.0, c.A)) < 1e-13
-        assert c.t0 == 0.5
+        a, t = coupling_constant(2.0, 2.0, 0.5), t_beta(2.0, 2.0, 0.5)
+        assert a == pytest.approx(2.0 / 9.0, abs=1e-15)
+        assert t == pytest.approx(2.0 / 3.0, abs=1e-13)
+        assert abs(root_function(t, 2.0, 2.0, a)) < 1e-13
 
     def test_coupling_maximum_cell(self):
-        c = constants(IneqParams(p=2.0, q=2.0, beta=1.0))
-        assert c.A == pytest.approx(0.25, abs=1e-15)  # ((p-1)/p)**q
-        assert c.t_beta == pytest.approx(0.5, abs=1e-12)  # boundary double root
+        assert coupling_constant(2.0, 2.0, 1.0) == pytest.approx(0.25, abs=1e-15)  # ((p-1)/p)**q
+        assert t_beta(2.0, 2.0, 1.0) == pytest.approx(0.5, abs=1e-12)  # boundary double root
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
     def test_q_one_degenerates(self, p):
-        c = constants(IneqParams(p=p, q=1.0, beta=0.7))
-        assert c.A == pytest.approx((p - 1.0) / p, abs=1e-15)
+        a = coupling_constant(p, 1.0, 0.7)
+        assert a == pytest.approx((p - 1.0) / p, abs=1e-15)
         # the root function vanishes identically; t_beta keeps the limit value
-        assert c.t_beta == pytest.approx(1.0 / 1.7, abs=1e-15)
+        assert t_beta(p, 1.0, 0.7) == pytest.approx(1.0 / 1.7, abs=1e-15)
         for t in (0.6, 1.0, 2.0):
-            assert root_function(t, p, 1.0, c.A) == pytest.approx(0.0, abs=1e-15)
+            assert root_function(t, p, 1.0, a) == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 2.0), (5.0, 3.0)])
     def test_t_beta_closed_form_below_threshold(self, p, q):
         beta0 = 1.0 / (p - 1.0)
         for beta in np.linspace(beta0 / 40, beta0 * 0.98, 25):
-            c = constants(IneqParams(p=p, q=q, beta=float(beta)))
-            assert c.t_beta == pytest.approx(1.0 / (beta + 1.0), abs=1e-12)
-            assert c.t_beta > c.t0
+            t = t_beta(p, q, float(beta))
+            assert t == pytest.approx(1.0 / (beta + 1.0), abs=1e-12)
+            assert t > (p - 1.0) / p
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 2.0), (5.0, 3.0)])
     def test_t_beta_root_above_threshold(self, p, q):
         beta0 = 1.0 / (p - 1.0)
         for beta in np.linspace(beta0 * 1.05, beta0 * 4.0, 25):
-            c = constants(IneqParams(p=p, q=q, beta=float(beta)))
-            assert abs(root_function(c.t_beta, p, q, c.A)) < 1e-12
-            assert c.t_beta > c.t0
+            t = t_beta(p, q, float(beta))
+            assert abs(root_function(t, p, q, coupling_constant(p, q, float(beta)))) < 1e-12
+            assert t > (p - 1.0) / p
             # above the threshold, 1/(beta+1) drops below t0 and is no longer
             # the relevant root
-            assert c.t_beta > 1.0 / (beta + 1.0)
+            assert t > 1.0 / (beta + 1.0)
+
+    @pytest.mark.parametrize(
+        "p,q,beta", [(2.0, 2.5, 3.0), (2.0, 0.5, 3.0), (1.0, 1.0, 3.0), (2.0, 2.0, 0.0)]
+    )
+    def test_t_beta_rejects_out_of_domain(self, p, q, beta):
+        with pytest.raises(DomainError):
+            t_beta(p, q, beta)
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 1.7), (5.0, 4.0)])
     def test_root_function_strictly_increasing(self, p, q):
-        c = constants(IneqParams(p=p, q=q, beta=0.4))
+        a = coupling_constant(p, q, 0.4)
         t0 = (p - 1.0) / p
         ts = np.linspace(t0 * 1.001, t0 + 3.0, 100)
         step = 1e-7
         for t in ts:
             slope = (
-                root_function(t + step, p, q, c.A)
-                - root_function(t - step, p, q, c.A)
+                root_function(t + step, p, q, a)
+                - root_function(t - step, p, q, a)
             ) / (2 * step)
             assert slope > 0.0
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 2.0), (4.0, 3.0)])
     def test_coupling_max_at_threshold(self, p, q):
         beta0 = 1.0 / (p - 1.0)
-        peak = constants(IneqParams(p=p, q=q, beta=beta0)).h_val
+        peak = coupling_constant(p, q, beta0)
         assert peak == pytest.approx(((p - 1.0) / p) ** q, abs=1e-12)
         for beta in np.geomspace(beta0 / 100, beta0 * 100, 100):
-            h = constants(IneqParams(p=p, q=q, beta=float(beta))).h_val
-            assert h <= peak * (1 + 1e-14)
+            assert coupling_constant(p, q, float(beta)) <= peak * (1 + 1e-14)
 
 
 class TestTreeDeficits:
@@ -381,8 +386,6 @@ class TestExtremizerSweep:
     def test_first_second_constants_coupling(self):
         # c2 * A = 1 and c1 = c2 * (q/p) (beta+1)**(1-q): the bridge between
         # the inequality form and the residual form
-        from treemax import coupling_constant
-
         for p, q, beta in [(2.0, 2.0, 0.5), (3.0, 2.0, 0.3), (2.5, 1.7, 0.8)]:
             c1 = first_constant(p, q, beta)
             c2 = second_constant(p, q, beta)

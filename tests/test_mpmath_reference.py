@@ -12,8 +12,7 @@ import math
 import mpmath
 import pytest
 
-from treemax import bellman_value, beta_family_residual, omega_p
-from treemax.inequalities import IneqParams, constants
+from treemax import bellman_value, beta_family_residual, omega_p, t_beta
 from treemax.sweeps import BATTERY_PS, battery_betas, battery_qs
 
 DPS = 40
@@ -148,8 +147,7 @@ def test_t_beta_off_the_double_root():
         for p, q, beta in _battery_cells():
             if q > 1.0 and beta == 1.0 / (p - 1.0):
                 continue
-            t_beta = constants(IneqParams(p, q, beta)).t_beta
-            assert _ulps(t_beta, _t_beta(p, q, beta)) <= 4, (p, q, beta)
+            assert _ulps(t_beta(p, q, beta), _t_beta(p, q, beta)) <= 4, (p, q, beta)
 
 
 @pytest.mark.parametrize("p", BATTERY_PS)
@@ -161,7 +159,6 @@ def test_t_beta_at_the_double_root(p):
     beta = 1.0 / (p - 1.0)
     with mpmath.workdps(DPS):
         for q in battery_qs(p)[1:]:
-            t_beta = constants(IneqParams(p, q, beta)).t_beta
             reference = _t_beta(p, q, beta)
             assert abs(reference - 1 / (mpmath.mpf(beta) + 1)) <= 1e-18
-            assert _ulps(t_beta, reference) <= 4, q
+            assert _ulps(t_beta(p, q, beta), reference) <= 4, q

@@ -23,6 +23,7 @@ from treemax import (
     discretize,
     hardy_deficit,
     hardy_power,
+    linearize,
     maximal_function,
     oracle_sup,
     orbit_sample_max,
@@ -301,17 +302,33 @@ class TestCsvRows:
             rhs={k: column() for k in inequalities},
         )
 
-    @pytest.mark.parametrize("keys", [("1.2",), ("1.8",), ("1.10",), ("1.2", "1.7", "1.8", "1.9")])
+    @pytest.mark.parametrize(
+        "keys", [("1.2",), ("1.8",), ("1.10",), ("1.2", "1.7", "1.8", "1.9"), ("1.9", "1.2")]
+    )
     def test_matches_per_row_reference(self, keys):
         out = self._outcome(keys, trials=8)
-        assert "".join(format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
+        assert format_cell_rows(out) == "".join(_format_rows_per_row(out, keys))
 
     def test_shared_lhs_matches_per_row_reference(self):
         keys = ("1.2", "1.7", "1.8", "1.9")
         out = evaluate_cell(3.0, 2.0, 0.25, 30, 9, shapes=[(2, 4), (3, 2)])
-        assert "".join(format_cell_rows(out, keys)) == "".join(_format_rows_per_row(out, keys))
-        sub = ("1.9", "1.2")
-        assert "".join(format_cell_rows(out, sub)) == "".join(_format_rows_per_row(out, sub))
+        assert format_cell_rows(out) == "".join(_format_rows_per_row(out, keys))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: linearize(StepFunction(Tree(2, 2), [4.0, 2.0, 1.0, 1.0])),
+        lambda: LineStepFunction(np.array([0.0, 0.5, 1.0]), np.array([2.0, 1.0])),
+        lambda: evaluate_cell(2.0, 1.0, 1.0, 3, 0, shapes=[(2, 2)]),
+    ],
+    ids=["Linearization", "LineStepFunction", "CellOutcome"],
+)
+def test_array_records_compare_by_identity(make):
+    """``==`` on a record of arrays is a bool, never an ambiguous array."""
+    a, b = make(), make()
+    assert (a == a) is True
+    assert (a == b) is False
 
 
 class TestRunBattery:
@@ -364,12 +381,11 @@ class TestRunBattery:
         )
         assert multiprocessing.active_children() == []
         assert len(opened) == (count > 1)
-        expected = io.StringIO()
-        sweeps.write_csv_header(expected, ("config: test",))
+        expected = "# config: test\nineq,p,q,beta,seed,f,F,lhs,rhs\n"
         for index, (p, q, beta) in enumerate(cells):
             outcome = evaluate_cell(p, q, beta, 9, cell_seed(8, index), shapes, keys)
-            expected.write("".join(format_cell_rows(outcome, keys)))
-        assert sink.getvalue() == expected.getvalue()
+            expected += format_cell_rows(outcome)
+        assert sink.getvalue() == expected
 
     def test_different_seeds_differ(self):
         a, b = io.StringIO(), io.StringIO()
