@@ -99,12 +99,15 @@ def _check_moments(p: float, f: float, big_f: float) -> float:
     rounding); raises on non-positive, non-finite or infeasible moments."""
     if not (0.0 < f < math.inf and 0.0 < big_f < math.inf):
         raise DomainError(f"moments f and F must be positive and finite, got f={f}, F={big_f}")
-    ratio = f**p / big_f
-    if ratio > 1.0 + 1e-12:
+    try:
+        fp = f**p
+    except OverflowError:  # beyond every finite F
+        fp = math.inf
+    if fp / big_f > 1.0 + 1e-12:
         raise InfeasibleMomentsError(
-            f"f**p = {f**p} exceeds F = {big_f}; no nonnegative function has these moments"
+            f"f**p = {fp} exceeds F = {big_f}; no nonnegative function has these moments"
         )
-    return ratio
+    return fp / big_f
 
 
 def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:

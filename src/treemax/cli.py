@@ -305,7 +305,10 @@ def cmd_sharpness(args) -> int:
             )
     else:
         if args.grid is not None:
-            grid = [float(s) for s in args.grid.split(",")]
+            try:
+                grid = [float(s) for s in args.grid.split(",")]
+            except ValueError as exc:  # the message quotes the bad item
+                raise DomainError(f"bad --grid item: {exc}") from None
         else:
             upper = 1.0 / args.p if args.family == "g_alpha" else 1.0 / (args.p - 1.0)
             grid = [upper * i / (args.points + 1) for i in range(1, args.points + 1)]
@@ -468,8 +471,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    # every package error is a ValueError; a RuntimeError here is a battery
-    # CSV worker that died (BrokenProcessPool)
+    # every other package error is a ValueError; a RuntimeError here is a
+    # battery CSV worker that died (BrokenProcessPool)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

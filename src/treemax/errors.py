@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-All of them derive from ValueError so that callers who do not care about
-the fine-grained category can catch a single base class.
+Every input error derives from ValueError, so one base class catches them
+all; InvariantViolation, a guaranteed bound that failed, is a RuntimeError.
 """
 
 

@@ -9,6 +9,7 @@ roundoff, and the power-law families below drive it to zero.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -62,8 +63,18 @@ def first_constant(p: float, q: float, beta: float) -> float:
 
 
 def second_constant(p: float, q: float, beta: float) -> float:
-    """Coefficient of the mixed moment on the right-hand side."""
-    return p * (beta + 1.0) ** q / ((p - 1.0) * q * beta + (p - q))
+    """Coefficient of the mixed moment on the right-hand side. Where
+    ``(beta + 1)**q`` alone leaves the float range, one factor ``beta + 1`` is
+    divided by the denominator first; a coefficient beyond that range raises
+    ``OverflowError``."""
+    denominator = (p - 1.0) * q * beta + (p - q)
+    with contextlib.suppress(OverflowError):
+        if math.isfinite(c2 := p * (beta + 1.0) ** q / denominator):
+            return c2
+    with contextlib.suppress(OverflowError):
+        if math.isfinite(c2 := p * (beta + 1.0) ** (q - 1.0) * ((beta + 1.0) / denominator)):
+            return c2
+    raise OverflowError(f"the constant c2 exceeds the float range at p={p}, q={q}, beta={beta}")
 
 
 def coupling_constant(p: float, q: float, beta: float) -> float:

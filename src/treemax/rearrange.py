@@ -7,6 +7,8 @@ step profiles the integrals fall back to piecewise adaptive Gauss quadrature.
 """
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +115,11 @@ class PowerLawFunction:
 
     def power_integral(self, r: float) -> float:
         if self.a * r >= 1.0:
-            raise DivergentIntegralError(
-                f"t**(-{self.a * r:g}) is not integrable near 0"
-            )
-        return self.c**r / (1.0 - self.a * r)
+            raise DivergentIntegralError(f"t**(-{self.a * r:g}) is not integrable near 0")
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value := self.c**r / (1.0 - self.a * r)):
+                return value
+        raise OverflowError(f"the integral of g**{r:g} overflows")
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +219,11 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
     """Integral of ``weight * (v + offset/x)**r`` over every row's ``[lo, hi]``.
 
     A 32-node Gauss panel is bisected until that moves it by at most
-    ``_REL_TOL * scale`` or it is ``_MAX_SPLITS`` deep. All open panels of one
-    depth are bisected together, and at the end a row's accepted ``left + right``
-    values are added right to left from 0.0, as a depth-first stack pushing the
-    right half last would, so neither the levels nor the batches change a bit.
+    ``_REL_TOL * scale`` or it is ``_MAX_SPLITS`` deep. The open panels of a
+    depth are bisected together, a kept panel's halves side by side, and the
+    panels a depth accepts are summed per row from 0.0, left to right, into the
+    row's total: only open panels are held, and no batch size moves a bit.
     """
-
     nodes = np.empty((0, _GAUSS_X.size))  # one node-value buffer for every batch
 
     def gauss(a, b, row):
@@ -234,28 +236,22 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
             out[cut] = _gauss_panels(a[cut], b[cut], v[k], offset[k], weight[k], r, nodes[: k.size])
         return out
 
-    # an open panel is (row, start, a, b, Gauss value); start counts 2**-_MAX_SPLITS
-    # of the row's interval, so it orders a row's panels exactly
-    row, start, a, b = np.arange(lo.size), np.zeros(lo.size, dtype=np.int64), lo, hi
+    row, a, b = np.arange(lo.size), lo, hi
     estimate = gauss(a, b, row)
-    accepted = []  # (row, start, left + right) of each depth
+    total = np.zeros(lo.size)
     for depth in range(_MAX_SPLITS + 1):
         mid = 0.5 * (a + b)
         left, right = gauss(a, mid, row), gauss(mid, b, row)
         split = left + right
         ok = (np.abs(split - estimate) <= _REL_TOL * scale) | (depth == _MAX_SPLITS)
-        accepted.append((row[ok], start[ok], split[ok]))
+        # one weight at a time in index order: a row's panels left to right
+        total += np.bincount(row[ok], split[ok], minlength=lo.size)
         if ok.all():
-            break
-        keep, half = ~ok, 1 << (_MAX_SPLITS - depth - 1)
-        row, start = np.tile(row[keep], 2), np.concatenate((start[keep], start[keep] + half))
-        a, b = np.concatenate((a[keep], mid[keep])), np.concatenate((mid[keep], b[keep]))
-        estimate = np.concatenate((left[keep], right[keep]))
-    row, start, value = (np.concatenate(column) for column in zip(*accepted))
-    order = np.lexsort((-start, row))
-    total = np.zeros(lo.size)
-    np.add.at(total, row[order], value[order])  # one float at a time: a pairwise sum rounds apart
-    return total
+            return total
+        keep = ~ok  # each kept panel's two halves side by side, left then right
+        row, estimate = np.repeat(row[keep], 2), np.column_stack((left[keep], right[keep])).ravel()
+        a = np.column_stack((a[keep], mid[keep])).ravel()
+        b = np.column_stack((mid[keep], b[keep])).ravel()
 
 
 def hardy_moment(g, p: float, q: float) -> float:
@@ -265,8 +261,9 @@ def hardy_moment(g, p: float, q: float) -> float:
     step profiles are integrated piece by piece with adaptive Gauss panels
     (the running average restricted to one piece is smooth), all pieces
     refined in one batch to ``_REL_TOL`` times ``max(integral of g**p, 1)``.
-    A step profile whose integrand or ``g**p`` exceeds the float range on
-    some piece raises ``OverflowError`` before any refinement.
+    A closed form beyond the float range raises ``OverflowError``, and so
+    does a step profile whose integrand or ``g**p`` leaves it on some piece,
+    before any refinement.
     """
     p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
     if q != 0.0 and not 1.0 <= q <= p:
@@ -274,10 +271,11 @@ def hardy_moment(g, p: float, q: float) -> float:
     q = float(q)
     if isinstance(g, PowerLawFunction):
         if g.a * p >= 1.0:
-            raise DivergentIntegralError(
-                f"averaging integral diverges: a*p = {g.a * p:g} >= 1"
-            )
-        return g.c**p * (1.0 - g.a) ** (q - p) / (1.0 - g.a * p)
+            raise DivergentIntegralError(f"averaging integral diverges: a*p = {g.a * p:g} >= 1")
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value := g.c**p * (1.0 - g.a) ** (q - p) / (1.0 - g.a * p)):
+                return value
+        raise OverflowError(f"the integral of g**{q:g} * (running average)**{p - q:g} overflows")
     if not isinstance(g, LineStepFunction):
         raise DomainError(f"unsupported profile {type(g).__name__}")
     if q == p:

@@ -129,6 +129,11 @@ class TestBellmanValue:
         with pytest.raises(InfeasibleMomentsError):
             bellman_value(2.0, 2.0, 1.0)
 
+    def test_f_power_past_the_float_range_is_infeasible(self):
+        # f**64 raises: it exceeds every finite F
+        with pytest.raises(InfeasibleMomentsError, match=r"^f\*\*p = inf exceeds F = 1e\+300;"):
+            bellman_value(64.0, 1e10, 1e300)
+
     def test_overflowing_bound(self):
         # F is finite but F * omega**p is not
         with pytest.raises(DomainError):

@@ -296,6 +296,18 @@ class TestVerifyCommand:
         summary = json.loads(out)
         assert summary["violations"] == 0
 
+    @pytest.mark.parametrize("ineq", ["1.9", "1.10"])
+    def test_constant_past_the_range_of_its_power(self, capsys, ineq):
+        # (beta + 1)**q overflows, but c2, every row and the deficits are finite
+        status, out = run_cli(
+            capsys, "verify", "--ineq", ineq, "--p", "2", "--q", "2", "--beta", "1e160",
+            "--trials", "3", "--depth", "2",
+        )
+        assert status == 0
+        summary = json.loads(out)
+        assert summary["violations"] == 0
+        assert 1e159 < summary["min_deficit"] < math.inf
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -778,6 +790,37 @@ class TestErrorPaths:
         assert status == 1
         message = "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
         assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["verify", "--ineq", "1.9", "--p", "64", "--q", "64", "--beta", "1e10",
+                 "--trials", "3", "--depth", "2"],
+                "floating-point overflow: the constant c2 exceeds the float range"
+                " at p=64.0, q=64.0, beta=10000000000.0",
+            ),
+            (
+                ["bellman", "--p", "64", "--f", "1e10", "--F", "1e300"],
+                "f**p = inf exceeds F = 1e+300; no nonnegative function has these moments",
+            ),
+            (
+                ["sharpness", "--family", "g_alpha", "--p", "64", "--q", "64", "--f", "1e10",
+                 "--points", "3"],
+                "floating-point overflow: the integral of g**0 * (running average)**64 overflows",
+            ),
+            (
+                ["sharpness", "--family", "g_alpha", "--p", "2", "--grid", ","],
+                "bad --grid item: could not convert string to float: ''",
+            ),
+        ],
+        ids=["verify-c2", "bellman-f-power", "sharpness-closed-form", "sharpness-grid-item"],
+    )
+    def test_error_line_names_what_failed(self, capsys, tmp_path, argv, message):
+        status = main(argv + ["--output", str(tmp_path / "out")])
+        assert status == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_grid_is_rejected(self, capsys):

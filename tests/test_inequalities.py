@@ -1,5 +1,7 @@
 """Constants, deficits, sharpness families, and their closed-form identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,19 @@ class TestConstants:
                 - root_function(t - step, p, q, a)
             ) / (2 * step)
             assert slope > 0.0
+
+    def test_second_constant_past_the_range_of_its_power(self):
+        # the plain quotient, bit for bit, wherever it is finite
+        plain = 3.0 * (0.4 + 1.0) ** 1.7 / (2.0 * 1.7 * 0.4 + (3.0 - 1.7))
+        assert second_constant(3.0, 1.7, 0.4) == plain
+        # (beta + 1)**2 raises, but 2 (beta + 1)**2 / (2 beta) is about beta
+        assert second_constant(2.0, 2.0, 1e160) == pytest.approx(1e160, rel=1e-15)
+        # (beta + 1)**64 is finite, 64 times it is not, and the quotient is again
+        denominator = 63.0 * 64.0 * 63000.0
+        expected = math.exp(math.log(64.0) + 64.0 * math.log(63001.0) - math.log(denominator))
+        assert second_constant(64.0, 64.0, 63000.0) == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(OverflowError, match=r"c2 .* p=64.0, q=64.0, beta=10000000000.0$"):
+            second_constant(64.0, 64.0, 1e10)
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 2.0), (4.0, 3.0)])
     def test_coupling_max_at_threshold(self, p, q):
