@@ -65,16 +65,16 @@ def first_constant(p: float, q: float, beta: float) -> float:
 def second_constant(p: float, q: float, beta: float) -> float:
     """Coefficient of the mixed moment on the right-hand side. Where
     ``(beta + 1)**q`` alone leaves the float range, one factor ``beta + 1`` is
-    divided by the denominator first; a coefficient beyond that range raises
-    ``OverflowError``."""
+    divided by the denominator first; a coefficient or a denominator beyond
+    that range (which would read c2 as 0.0 or nan) raises ``OverflowError``."""
     denominator = (p - 1.0) * q * beta + (p - q)
     with contextlib.suppress(OverflowError):
-        if math.isfinite(c2 := p * (beta + 1.0) ** q / denominator):
+        if 0.0 < (c2 := p * (beta + 1.0) ** q / denominator) < math.inf:
             return c2
     with contextlib.suppress(OverflowError):
-        if math.isfinite(c2 := p * (beta + 1.0) ** (q - 1.0) * ((beta + 1.0) / denominator)):
+        if 0.0 < (c2 := p * (beta + 1.0) ** (q - 1.0) * ((beta + 1.0) / denominator)) < math.inf:
             return c2
-    raise OverflowError(f"the constant c2 exceeds the float range at p={p}, q={q}, beta={beta}")
+    raise OverflowError(f"the constant c2 or its denominator overflows at p={p}, q={q}, beta={beta}")
 
 
 def coupling_constant(p: float, q: float, beta: float) -> float:
@@ -124,9 +124,10 @@ def right_hand_side(inequality: str, p: float, q: float, beta: float, fp, j1, jq
 
     (1.7) is the two-term bound with q = 1, (1.8) its q-parameterized
     sharpening, (1.9) the (q, beta) family containing both. The line
-    inequality (1.10) shares the (1.9) right-hand side. An overflow gives
-    ``inf`` or ``nan`` unwarned (numpy's error state is per thread, so it is
-    set here); the battery rejects such a row.
+    inequality (1.10) shares the (1.9) right-hand side. A c2 out of range
+    raises from :func:`second_constant`; an overflowing product or difference
+    gives ``inf`` or ``nan`` unwarned (numpy's error state is per thread, so
+    it is set here), and the battery rejects such a row.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if inequality == "1.7":

@@ -115,7 +115,9 @@ class PowerLawFunction:
 
     def power_integral(self, r: float) -> float:
         if self.a * r >= 1.0:
-            raise DivergentIntegralError(f"t**(-{self.a * r:g}) is not integrable near 0")
+            raise DivergentIntegralError(
+                f"t**(-{self.a * r:g}) is not integrable near 0"
+            )
         with contextlib.suppress(OverflowError):
             if math.isfinite(value := self.c**r / (1.0 - self.a * r)):
                 return value
@@ -224,6 +226,7 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
     panels a depth accepts are summed per row from 0.0, left to right, into the
     row's total: only open panels are held, and no batch size moves a bit.
     """
+
     nodes = np.empty((0, _GAUSS_X.size))  # one node-value buffer for every batch
 
     def gauss(a, b, row):
@@ -271,7 +274,9 @@ def hardy_moment(g, p: float, q: float) -> float:
     q = float(q)
     if isinstance(g, PowerLawFunction):
         if g.a * p >= 1.0:
-            raise DivergentIntegralError(f"averaging integral diverges: a*p = {g.a * p:g} >= 1")
+            raise DivergentIntegralError(
+                f"averaging integral diverges: a*p = {g.a * p:g} >= 1"
+            )
         with contextlib.suppress(OverflowError):
             if math.isfinite(value := g.c**p * (1.0 - g.a) ** (q - p) / (1.0 - g.a * p)):
                 return value

@@ -798,8 +798,15 @@ class TestErrorPaths:
             (
                 ["verify", "--ineq", "1.9", "--p", "64", "--q", "64", "--beta", "1e10",
                  "--trials", "3", "--depth", "2"],
-                "floating-point overflow: the constant c2 exceeds the float range"
+                "floating-point overflow: the constant c2 or its denominator overflows"
                 " at p=64.0, q=64.0, beta=10000000000.0",
+            ),
+            (
+                # the denominator is inf: c2 would read nan or 0.0, c1 0.0, every deficit -J0
+                ["verify", "--ineq", "1.9", "--p", "3", "--q", "1", "--beta", "1e308",
+                 "--trials", "3", "--depth", "2"],
+                "floating-point overflow: the constant c2 or its denominator overflows"
+                " at p=3.0, q=1.0, beta=1e+308",
             ),
             (
                 ["bellman", "--p", "64", "--f", "1e10", "--F", "1e300"],
@@ -815,7 +822,10 @@ class TestErrorPaths:
                 "bad --grid item: could not convert string to float: ''",
             ),
         ],
-        ids=["verify-c2", "bellman-f-power", "sharpness-closed-form", "sharpness-grid-item"],
+        ids=[
+            "verify-c2", "verify-c2-denominator", "bellman-f-power", "sharpness-closed-form",
+            "sharpness-grid-item",
+        ],
     )
     def test_error_line_names_what_failed(self, capsys, tmp_path, argv, message):
         status = main(argv + ["--output", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 """Constants, deficits, sharpness families, and their closed-form identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,12 @@ class TestConstants:
         assert second_constant(64.0, 64.0, 63000.0) == pytest.approx(expected, rel=1e-12)
         with pytest.raises(OverflowError, match=r"c2 .* p=64.0, q=64.0, beta=10000000000.0$"):
             second_constant(64.0, 64.0, 1e10)
+        # an infinite denominator: the plain quotient is nan or raises, the divided one 0.0,
+        # though c2 is about 1.5 and 1.6e154
+        for p, q, beta in [(3.0, 1.0, 1e308), (2.0, 1.5, 1.5e308)]:
+            message = f"the constant c2 or its denominator overflows at p={p}, q={q}, beta={beta}"
+            with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+                second_constant(p, q, beta)
 
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 2.0), (4.0, 3.0)])
     def test_coupling_max_at_threshold(self, p, q):
