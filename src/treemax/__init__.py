@@ -38,7 +38,6 @@ from .inequalities import (
 )
 from .maximal import (
     Linearization,
-    averages,
     level_approximation,
     linearize,
     maximal_function,

@@ -23,7 +23,7 @@ from . import __version__
 from .bellman import bellman_value, minimize_envelope
 from .errors import DomainError, InvariantViolation, ShapeError
 from .inequalities import IneqParams, beyond_slack, extremizer_sweep, sharpness_G
-from .maximal import linearize, reconstruct_maximal
+from .maximal import linearize
 from .rearrange import (
     LineStepFunction,
     PowerLawFunction,
@@ -76,6 +76,13 @@ class _IntMap(NamedTuple):
     values: np.ndarray
 
 
+class _Table(NamedTuple):
+    """The array ``table[index]``, with ``text`` the :func:`_entries` of ``table``."""
+
+    text: np.ndarray
+    index: np.ndarray
+
+
 def _chunk_json(chunk: list, kind: str) -> str:
     """Comma-separated scalars. Integers and finite floats are formatted in
     one pass; anything else goes value by value."""
@@ -88,12 +95,20 @@ def _chunk_json(chunk: list, kind: str) -> str:
     return ", ".join(map(_scalar_json, chunk))
 
 
-def _array_pieces(obj: np.ndarray):
-    """An array of scalars, ``_CHUNK`` items at a time."""
+def _entries(table: np.ndarray) -> np.ndarray:
+    """The JSON text of each entry of ``table``, as bytes."""
+    text = [np.empty(0, np.bytes_)]
+    for start in range(0, table.size, _CHUNK):
+        chunk = _chunk_json(table[start : start + _CHUNK].tolist(), table.dtype.kind)
+        text.append(np.array(chunk.split(", "), dtype=np.bytes_))
+    return np.concatenate(text)
+
+
+def _array_pieces(size: int, chunk_json):
+    """An array of ``size`` scalars, ``chunk_json(cut)`` the text of the slice ``cut``."""
     yield "["
-    for start in range(0, obj.size, _CHUNK):
-        chunk = obj[start : start + _CHUNK].tolist()
-        yield (", " if start else "") + _chunk_json(chunk, obj.dtype.kind)
+    for start in range(0, size, _CHUNK):
+        yield (", " if start else "") + chunk_json(slice(start, start + _CHUNK))
     yield "]"
 
 
@@ -125,8 +140,11 @@ def _json_pieces(obj, indent: int = 0):
         yield f"\n{pad}}}"
     elif isinstance(obj, _IntMap):
         yield from _int_map_pieces(obj, indent)
+    elif isinstance(obj, _Table):
+        yield from _array_pieces(
+            obj.index.size, lambda cut: b", ".join(obj.text[obj.index[cut]].tolist()).decode("ascii"))
     elif isinstance(obj, np.ndarray):
-        yield from _array_pieces(obj)
+        yield from _array_pieces(obj.size, lambda cut: _chunk_json(obj[cut].tolist(), obj.dtype.kind))
     else:
         yield _scalar_json(obj)
 
@@ -211,12 +229,23 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("func", "output", "summary")}
 
 
+def _gathered(array: np.ndarray, table: np.ndarray, text: np.ndarray, index: np.ndarray):
+    """``array`` as a :class:`_Table` if ``table[index]`` is it bit for bit (-0.0 is not 0.0)."""
+    if np.array_equal(table[index].view(np.int64), array.view(np.int64)):
+        return _Table(text, index)
+    return array
+
+
 def cmd_maximal(args) -> int:
     """The report is built of arrays and written in bounded pieces; all that
-    can fail runs before its first byte."""
+    can fail runs before its first byte. Mphi repeats the members' averages,
+    so each distinct number is formatted once."""
     phi = load_step_function(args.input)
     lin = linearize(phi)
-    exact = bool(np.array_equal(reconstruct_maximal(lin), lin.m_phi.leaf_values))
+    member = np.searchsorted(lin.s_phi, lin.attaining_node)
+    exact = bool(np.array_equal(lin.average[member], lin.m_phi.leaf_values))
+    y, ids = _entries(lin.average), _entries(lin.s_phi)
+    masses, mass_index = np.unique(lin.mass, return_inverse=True)
     config = {
         "command": "maximal",
         "input": args.input,
@@ -227,12 +256,12 @@ def cmd_maximal(args) -> int:
     payload = {
         "config": config,
         "phi": phi.leaf_values,
-        "m_phi": lin.m_phi.leaf_values,
-        "attaining_node": lin.attaining_node,
+        "m_phi": _gathered(lin.m_phi.leaf_values, lin.average, y, member),
+        "attaining_node": _gathered(lin.attaining_node, lin.s_phi, ids, member),
         "linearization": {
-            "s_phi": lin.s_phi,
-            "a": lin.mass,
-            "y": lin.average,
+            "s_phi": _Table(ids, np.arange(ids.size)),
+            "a": _gathered(lin.mass, masses, _entries(masses), mass_index),
+            "y": _Table(y, np.arange(y.size)),
             "star": _IntMap(lin.s_phi[1:], lin.star_parent[1:]),
         },
         "moments": {
@@ -242,6 +271,7 @@ def cmd_maximal(args) -> int:
         },
         "reconstruction_exact": exact,
     }
+    del lin  # the leaf arrays a table stands for are freed before writing
     _emit(_json_pieces(payload), args.output)
     return 0 if exact else 2
 

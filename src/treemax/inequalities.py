@@ -19,12 +19,7 @@ import numpy as np
 from .bellman import _bisect, _check_p
 from .errors import DomainError, InvariantViolation
 from .maximal import batch_maximal_leaves
-from .rearrange import (
-    LineStepFunction,
-    PowerLawFunction,
-    hardy_moment,
-    hardy_power,
-)
+from .rearrange import LineStepFunction, PowerLawFunction, hardy_moments
 from .tree import StepFunction
 
 # A computed deficit may dip below zero by accumulated rounding only; this is
@@ -58,8 +53,13 @@ class IneqParams:
 
 
 def first_constant(p: float, q: float, beta: float) -> float:
-    """Coefficient of ``-f**p`` on the right-hand side."""
-    return q * (beta + 1.0) / ((p - 1.0) * q * beta + (p - q))
+    """Coefficient of ``-f**p`` on the right-hand side. Out of the float range
+    it divides first, and raises, as :func:`second_constant` does."""
+    denominator = (p - 1.0) * q * beta + (p - q)
+    for c1 in (q * (beta + 1.0) / denominator, q * ((beta + 1.0) / denominator)):
+        if 0.0 < c1 < math.inf:
+            return c1
+    raise OverflowError(f"the constant c1 or its denominator overflows at p={p}, q={q}, beta={beta}")
 
 
 def second_constant(p: float, q: float, beta: float) -> float:
@@ -79,10 +79,11 @@ def second_constant(p: float, q: float, beta: float) -> float:
 
 def coupling_constant(p: float, q: float, beta: float) -> float:
     """``A(p, q, beta)``: the reciprocal of :func:`second_constant`, i.e. the
-    weight for which ``mixed moment >= A * J0 + (q/p)(beta+1)**(1-q) f**p``."""
-    return (q - 1.0) * beta / (beta + 1.0) ** q + (p - q) / p * (beta + 1.0) ** (
-        1.0 - q
-    )
+    weight for which ``mixed moment >= A * J0 + (q/p)(beta+1)**(1-q) f**p``.
+    Where ``(beta + 1)**q`` overflows, ``beta / (beta + 1)`` is taken first."""
+    with contextlib.suppress(OverflowError):
+        return (q - 1.0) * beta / (beta + 1.0) ** q + (p - q) / p * (beta + 1.0) ** (1.0 - q)
+    return ((q - 1.0) * (beta / (beta + 1.0)) + (p - q) / p) * (beta + 1.0) ** (1.0 - q)
 
 
 def root_function(t: float, p: float, q: float, coupling: float) -> float:
@@ -232,16 +233,17 @@ def deficit(inequality: str, phi: StepFunction, params: IneqParams) -> DeficitRe
     return _report(inequality, params, float(rhs[0]), *(float(x[0]) for x in moments))
 
 
-def line_moments(g: Profile, p: float, q: float):
-    """``f, F, J0, J1, Jq`` of a non-increasing profile: the integrals of
-    ``g``, ``g**p`` and ``(running average)**p``, and :func:`hardy_moment`
-    at 1 and ``q``. The line counterpart of :func:`tree_moments`."""
-    if isinstance(g, LineStepFunction) and not g.is_non_increasing():
+def line_moments(profiles: list[Profile], p: float, q: float):
+    """Per-profile ``f, F, J0, J1, Jq`` of non-increasing profiles: the
+    integrals of ``g``, ``g**p`` and ``(running average)**p``, and
+    :func:`hardy_moments` at 1 and ``q``. The line :func:`tree_moments`."""
+    if any(isinstance(g, LineStepFunction) and not g.is_non_increasing() for g in profiles):
         raise DomainError("profile must be non-increasing")
-    j0 = hardy_power(g, p)
-    j1 = hardy_moment(g, p, 1.0)
-    jq = j1 if q == 1.0 else hardy_moment(g, p, q)
-    return g.integral(), g.power_integral(p), j0, j1, jq
+    j0 = hardy_moments(profiles, p, 0.0)
+    j1 = hardy_moments(profiles, p, 1.0)
+    jq = j1 if q == 1.0 else hardy_moments(profiles, p, q)
+    f = np.array([g.integral() for g in profiles])
+    return f, np.array([g.power_integral(p) for g in profiles]), j0, j1, jq
 
 
 def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
@@ -249,7 +251,7 @@ def hardy_deficit(g: Profile, params: IneqParams) -> DeficitReport:
     maximal operator) for a non-increasing profile. With ``params.f`` the
     profile's mean, this is a battery (1.10) row bit for bit."""
     p, q = params.p, params.q
-    f, big_f, j0, j1, jq = line_moments(g, p, q)
+    f, big_f, j0, j1, jq = (float(x[0]) for x in line_moments([g], p, q))
     params = _resolve_f(params, f)
     rhs = right_hand_side("1.9", p, q, params.beta, params.f**p, j1, jq)
     return _report("1.10", params, rhs, params.f, big_f, j0, j1, jq)
@@ -307,8 +309,10 @@ def beta_family_residual(p: float, q: float, beta: float, f: float) -> tuple[flo
     if not _beta_admissible(beta, p):
         raise DomainError(f"beta must lie in (0, 1/(p-1)], got {beta}")
     c = f / (beta + 1.0)  # = f * (1 - alpha)
-    target = (q / p) * (beta + 1.0) ** (1.0 - q) * f**p
-    return (q / p) * c**p * (beta + 1.0) ** (p - q + 1.0), target
+    with contextlib.suppress(OverflowError):  # the products stay below f**p: only a power overflows
+        target = (q / p) * (beta + 1.0) ** (1.0 - q) * f**p
+        return (q / p) * c**p * (beta + 1.0) ** (p - q + 1.0), target
+    raise OverflowError(f"the residual Jq - A*J0 or its target overflows at p={p}, q={q}, beta={beta}, f={f}")
 
 
 def extremizer_sweep(

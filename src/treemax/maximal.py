@@ -80,11 +80,6 @@ def _levels_of(phi: StepFunction) -> list[np.ndarray]:
     return _level_averages(phi.leaf_values[None, :], tree.arity, tree.depth)
 
 
-def averages(phi: StepFunction) -> np.ndarray:
-    """Average of ``phi`` over every node, as a flat array indexed by node id."""
-    return np.concatenate(_levels_of(phi), axis=1)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class Linearization:
     """The maximal function of a step function and the average-attaining

@@ -221,7 +221,7 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
     """Integral of ``weight * (v + offset/x)**r`` over every row's ``[lo, hi]``.
 
     A 32-node Gauss panel is bisected until that moves it by at most
-    ``_REL_TOL * scale`` or it is ``_MAX_SPLITS`` deep. The open panels of a
+    ``_REL_TOL * scale`` of its row or it is ``_MAX_SPLITS`` deep. The open panels of a
     depth are bisected together, a kept panel's halves side by side, and the
     panels a depth accepts are summed per row from 0.0, left to right, into the
     row's total: only open panels are held, and no batch size moves a bit.
@@ -241,12 +241,12 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
 
     row, a, b = np.arange(lo.size), lo, hi
     estimate = gauss(a, b, row)
-    total = np.zeros(lo.size)
+    total, tolerance = np.zeros(lo.size), _REL_TOL * scale
     for depth in range(_MAX_SPLITS + 1):
         mid = 0.5 * (a + b)
         left, right = gauss(a, mid, row), gauss(mid, b, row)
         split = left + right
-        ok = (np.abs(split - estimate) <= _REL_TOL * scale) | (depth == _MAX_SPLITS)
+        ok = (np.abs(split - estimate) <= tolerance[row]) | (depth == _MAX_SPLITS)
         # one weight at a time in index order: a row's panels left to right
         total += np.bincount(row[ok], split[ok], minlength=lo.size)
         if ok.all():
@@ -257,58 +257,71 @@ def _adaptive_gauss(lo, hi, v, offset, weight, r, scale) -> np.ndarray:
         b = np.column_stack((mid[keep], b[keep])).ravel()
 
 
-def hardy_moment(g, p: float, q: float) -> float:
-    """``integral of (running average of g)**(p-q) * g**q over (0, 1]``.
+def hardy_moments(profiles, p: float, q: float) -> np.ndarray:
+    """``integral of (running average of g)**(p-q) * g**q over (0, 1]``, for each g of ``profiles``.
 
-    Power laws use the closed form ``c**p * (1-a)**(q-p) / (1 - a*p)``;
-    step profiles are integrated piece by piece with adaptive Gauss panels
-    (the running average restricted to one piece is smooth), all pieces
-    refined in one batch to ``_REL_TOL`` times ``max(integral of g**p, 1)``.
-    A closed form beyond the float range raises ``OverflowError``, and so
-    does a step profile whose integrand or ``g**p`` leaves it on some piece,
-    before any refinement.
+    Power laws use the closed form ``c**p * (1-a)**(q-p) / (1 - a*p)``. The
+    pieces of all step profiles take adaptive Gauss panels in one batch (the
+    running average is smooth on a piece), each to ``_REL_TOL`` times its own
+    profile's ``max(integral of g**p, 1)``: a profile gets its bits alone. A
+    closed form, an integrand or a ``g**p`` beyond the float range raises
+    ``OverflowError`` before any refinement.
     """
     p = _check_p(p)  # a NaN or infinite p would split every Gauss panel to the limit
     if q != 0.0 and not 1.0 <= q <= p:
         raise DomainError(f"q must lie in [1, p] (or 0 for the pure power), got {q}")
     q = float(q)
-    if isinstance(g, PowerLawFunction):
-        if g.a * p >= 1.0:
-            raise DivergentIntegralError(
-                f"averaging integral diverges: a*p = {g.a * p:g} >= 1"
-            )
-        with contextlib.suppress(OverflowError):
-            if math.isfinite(value := g.c**p * (1.0 - g.a) ** (q - p) / (1.0 - g.a * p)):
-                return value
-        raise OverflowError(f"the integral of g**{q:g} * (running average)**{p - q:g} overflows")
-    if not isinstance(g, LineStepFunction):
-        raise DomainError(f"unsupported profile {type(g).__name__}")
-    if q == p:
-        return g.power_integral(p)
-
-    t = g.breakpoints
-    v = g.values
+    out, steps = np.empty(len(profiles)), []
+    for k, g in enumerate(profiles):
+        if isinstance(g, PowerLawFunction):
+            if g.a * p >= 1.0:
+                raise DivergentIntegralError(
+                    f"averaging integral diverges: a*p = {g.a * p:g} >= 1"
+                )
+            with contextlib.suppress(OverflowError):
+                if math.isfinite(value := g.c**p * (1.0 - g.a) ** (q - p) / (1.0 - g.a * p)):
+                    out[k] = value
+                    continue
+            raise OverflowError(f"the integral of g**{q:g} * (running average)**{p - q:g} overflows")
+        if not isinstance(g, LineStepFunction):
+            raise DomainError(f"unsupported profile {type(g).__name__}")
+        if q == p:
+            out[k] = g.power_integral(p)
+        else:
+            steps.append(k)
+    if not steps:
+        return out
+    gs = [profiles[k] for k in steps]
+    counts = [g.piece_count for g in gs]
+    lo, hi = (np.concatenate([g.breakpoints[cut] for g in gs]) for cut in (slice(-1), slice(1, None)))
+    v = np.concatenate([g.values for g in gs])
     r = p - q
-    offset = g.prefix_integrals()[:-1] - v * t[:-1]  # running avg = v + offset/t on a piece
+    offset = np.concatenate([g.prefix_integrals()[:-1] for g in gs]) - v * lo  # running avg v + offset/t
     with np.errstate(over="ignore"):
         # scalar powers, one per piece: the array power may round one ulp apart
         weight = np.array([vi**q for vi in v])  # 1.0 for the pure power q = 0
-        value = np.zeros(g.piece_count)  # g**q kills a piece of weight 0
+        value = np.zeros(v.size)  # g**q kills a piece of weight 0
         flat = np.flatnonzero((weight != 0.0) & (offset == 0.0))  # running average v: closed form
-        value[flat] = weight[flat] * np.array([vi**r for vi in v[flat]]) * (t[flat + 1] - t[flat])
+        value[flat] = weight[flat] * np.array([vi**r for vi in v[flat]]) * (hi[flat] - lo[flat])
         smooth = np.flatnonzero((weight != 0.0) & (offset != 0.0))
-        lo, hi = t[smooth], t[smooth + 1]
+        lo, hi = lo[smooth], hi[smooth]
         # the running average is monotone on a piece, so the integrand peaks at an end
         peaks = [weight[smooth] * (v[smooth] + offset[smooth] / x) ** r for x in (lo, hi)]
         # for a non-increasing g, J lies between the integral of g**p and
         # (p/(p-1))**p times it; the floor stops a tiny profile refining forever
-        scale = max(g.power_integral(p), 1.0)
-    if not (np.isfinite(value).all() and np.isfinite(peaks).all() and np.isfinite(scale)):
+        scale = np.repeat([max(g.power_integral(p), 1.0) for g in gs], counts)
+    if not (np.isfinite(value).all() and np.isfinite(peaks).all() and np.isfinite(scale).all()):
         raise OverflowError(f"(running average)**{r:g} or g**{p:g} exceeds the float range")
-    value[smooth] = _adaptive_gauss(lo, hi, v[smooth], offset[smooth], weight[smooth], r, scale)
+    value[smooth] = _adaptive_gauss(lo, hi, v[smooth], offset[smooth], weight[smooth], r, scale[smooth])
     # piece by piece from the left, not pairwise; + 0.0 turns a sum of -0.0
     # pieces into 0.0, as a running total started at 0.0 gives
-    return float(np.cumsum(value)[-1]) + 0.0
+    out[steps] = [np.cumsum(piece)[-1] + 0.0 for piece in np.split(value, np.cumsum(counts)[:-1])]
+    return out
+
+
+def hardy_moment(g, p: float, q: float) -> float:
+    """:func:`hardy_moments` of the one profile ``g``."""
+    return float(hardy_moments([g], p, q)[0])
 
 
 def hardy_power(g, p: float) -> float:

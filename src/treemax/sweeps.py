@@ -279,18 +279,17 @@ def _line_cell(p: float, q: float, beta: float, trials: int, seed: int) -> CellO
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rows = []
+    profiles = []
     for trial in range(trials):
         if trial % 2 == 0:
             values = np.sort(mixture_values(rng, 1, 64)[0])[::-1]
-            g = LineStepFunction(np.arange(65) / 64.0, values)
+            profiles.append(LineStepFunction(np.arange(65) / 64.0, values))
         else:
             alpha = rng.uniform(0.0, 0.95 / p)
-            g = PowerLawFunction.from_mean_and_exponent(rng.uniform(0.5, 2.0), alpha)
-        f, big_f, j0, j1, jq = line_moments(g, p, q)
-        # a scalar power per trial: the array power may round one ulp apart
-        rows.append((f, big_f, j0, j1, jq, f**p))
-    f, big_f, j0, j1, jq, fp = np.array(rows).T
+            profiles.append(PowerLawFunction.from_mean_and_exponent(rng.uniform(0.5, 2.0), alpha))
+    f, big_f, j0, j1, jq = line_moments(profiles, p, q)
+    # a scalar power per trial: the array power may round one ulp apart
+    fp = np.array([x**p for x in f.tolist()])
     rhs = right_hand_side("1.9", p, q, beta, fp, j1, jq)
     return CellOutcome(p, q, beta, seed, f, big_f, {"1.10": j0}, {"1.10": rhs})
 

@@ -211,6 +211,54 @@ class TestMaximalCommand:
         assert reports[0] == reports[1]
         assert len(json.loads(reports[1])["linearization"]["star"]) > 7
 
+    @pytest.mark.parametrize("chunk", [cli._CHUNK, 7])
+    @pytest.mark.parametrize(
+        "arity,depth,leaves",
+        [
+            (2, 4, [-0.0, -0.0, 0.0, -0.0] * 4),  # -0.0 leaves under 0.0 averages
+            (2, 3, [1.25] * 8),  # constant: one member, the root
+            (3, 5, "rounded"),  # rounded values tie with their ancestors' averages
+            (9, 2, "rounded"),
+            (2, 13, "exponential"),  # 8192 leaves: longer than one default chunk
+        ],
+        ids=["signed-zeros", "constant", "arity-3", "arity-9", "two-chunks"],
+    )
+    def test_table_form_writes_the_plain_arrays(self, capsys, tmp_path, monkeypatch, arity,
+                                                 depth, leaves, chunk):
+        """Numbers written once and repeated as text give the bytes of every
+        array written value by value."""
+        values = np.random.default_rng(depth).exponential(1.0, arity**depth)
+        if leaves == "rounded":
+            values = np.round(values, 1)
+        elif leaves != "exponential":
+            values = np.array(leaves)
+        path = tmp_path / "phi.csv"
+        save_step_function(StepFunction(Tree(arity, depth), values), path)
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        status, tabled = run_cli(capsys, "maximal", "--input", str(path))
+        assert status == 0
+
+        real = cli._json_pieces
+
+        def plain_pieces(obj, indent=0):
+            if isinstance(obj, cli._Table):  # the numbers themselves, not their text
+                obj = obj.text[obj.index]
+            return real(obj, indent)
+
+        monkeypatch.setattr(cli, "_entries", lambda table: table)
+        monkeypatch.setattr(cli, "_gathered", lambda array, *table: array)
+        monkeypatch.setattr(cli, "_json_pieces", plain_pieces)
+        status, plain = run_cli(capsys, "maximal", "--input", str(path))
+        assert status == 0
+        assert tabled == plain
+
+    def test_table_form_only_for_the_same_bits(self):
+        # np.array_equal calls -0.0 equal to 0.0, but they print apart
+        array, index = np.array([-0.0, 1.0, 1.0]), np.array([0, 1, 1])
+        assert cli._gathered(array, np.array([0.0, 1.0]), cli._entries(np.array([0.0, 1.0])), index) is array
+        table = cli._gathered(array, np.array([-0.0, 1.0]), cli._entries(np.array([-0.0, 1.0])), index)
+        assert cli.to_json(table) == cli.to_json(array) == "[-0, 1, 1]"
+
     @pytest.mark.parametrize(
         "header, message",
         [
@@ -821,10 +869,17 @@ class TestErrorPaths:
                 ["sharpness", "--family", "g_alpha", "--p", "2", "--grid", ","],
                 "bad --grid item: could not convert string to float: ''",
             ),
+            (
+                # f**64 = 1e640 in the residual target of the first grid point
+                ["sharpness", "--family", "g_beta", "--p", "64", "--q", "64", "--f", "1e10",
+                 "--points", "3"],
+                "floating-point overflow: the residual Jq - A*J0 or its target overflows"
+                " at p=64.0, q=64.0, beta=0.003968253968253968, f=10000000000.0",
+            ),
         ],
         ids=[
             "verify-c2", "verify-c2-denominator", "bellman-f-power", "sharpness-closed-form",
-            "sharpness-grid-item",
+            "sharpness-grid-item", "sharpness-beta-residual",
         ],
     )
     def test_error_line_names_what_failed(self, capsys, tmp_path, argv, message):

@@ -135,6 +135,36 @@ class TestConstants:
             with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
                 second_constant(p, q, beta)
 
+    def test_first_constant_past_the_range_of_its_quotient(self):
+        # the plain quotient, bit for bit, wherever it is finite
+        assert first_constant(3.0, 1.7, 0.4) == 1.7 * (0.4 + 1.0) / (2.0 * 1.7 * 0.4 + (3.0 - 1.7))
+        # q (beta + 1) is inf, the denominator is not: dividing first gives c1, about 1/(p-1)
+        assert first_constant(1.5, 1.2, 1.6e308) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("p,q,beta", [(3.0, 1.0, 1e308), (2.0, 1.5, 1.5e308)])
+    def test_first_constant_past_the_range_of_its_denominator(self, p, q, beta):
+        # an infinite denominator read c1 as 0.0 or nan, though c1 is about 0.5 and 1
+        message = f"the constant c1 or its denominator overflows at p={p}, q={q}, beta={beta}"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            first_constant(p, q, beta)
+
+    def test_coupling_constant_past_the_range_of_its_power(self):
+        # the plain sum, bit for bit, wherever it is finite
+        plain = 0.7 * 0.4 / (0.4 + 1.0) ** 1.7 + (3.0 - 1.7) / 3.0 * (0.4 + 1.0) ** (1.0 - 1.7)
+        assert coupling_constant(3.0, 1.7, 0.4) == plain
+        # (beta + 1)**2 raises, but A = (beta / (beta + 1) + 0) / (beta + 1) is about 1/beta
+        assert coupling_constant(2.0, 2.0, 1e160) == pytest.approx(1e-160, rel=1e-15)
+        # the root of A + t (t - 1), 1 - A to within rounding
+        assert t_beta(2.0, 2.0, 1e160) == 1.0
+
+    def test_beta_family_residual_past_the_float_range(self):
+        message = (
+            "the residual Jq - A*J0 or its target overflows at p=64.0, q=64.0, beta=0.01, "
+            "f=10000000000.0"
+        )
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            beta_family_residual(64.0, 64.0, 0.01, 1e10)
+
     @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 2.0), (4.0, 3.0)])
     def test_coupling_max_at_threshold(self, p, q):
         beta0 = 1.0 / (p - 1.0)
@@ -306,9 +336,9 @@ class TestHardyDeficits:
         refine = rearrange._adaptive_gauss
         monkeypatch.setattr(rearrange, "_adaptive_gauss", counting)
         g = LineStepFunction(np.arange(5) / 4.0, [4.0, 3.0, 2.0, 1.0])
-        _, _, _, j1, jq = line_moments(g, 2.0, q)
+        _, _, _, j1, jq = line_moments([g], 2.0, q)
         assert len(calls) == refinements
-        assert (jq == j1) == (q == 1.0)
+        assert (jq[0] == j1[0]) == (q == 1.0)
 
 
 class TestSharpnessG:

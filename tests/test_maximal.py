@@ -8,7 +8,6 @@ from treemax import (
     IneqParams,
     StepFunction,
     Tree,
-    averages,
     deficit,
     level_approximation,
     linearize,
@@ -19,6 +18,12 @@ from treemax.inequalities import weak_type_sides
 from treemax.maximal import _level_averages, reconstruct_maximal
 
 from conftest import random_step_function
+
+
+def averages(phi):
+    """Average of ``phi`` over every node, as a flat array indexed by node id."""
+    tree = phi.tree
+    return np.concatenate(_level_averages(phi.leaf_values[None, :], tree.arity, tree.depth), axis=1)[0]
 
 
 def golden_phi():

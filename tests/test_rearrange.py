@@ -25,6 +25,7 @@ from treemax import (
     random_rearrangement,
 )
 from treemax import rearrange
+from treemax.rearrange import hardy_moments
 from treemax.sweeps import mixture_values, orbit_sample_max
 
 from conftest import random_step_function, steep_profile
@@ -444,6 +445,47 @@ class TestHardyIntegrals:
         got = [hardy_moment(*case) for case in cases]
         for k, (x, y) in enumerate(zip(got, expected)):
             assert_same_bits(x, y, k)
+
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    @pytest.mark.parametrize("q_kind", ["zero", "one", "mid", "p"])
+    def test_batched_profiles_match_one_profile_calls_bit_for_bit(self, monkeypatch, p, q_kind):
+        """All step profiles of a batch are refined together, each against
+        its own scale, and every entry has the bits of its profile alone."""
+        q = {"zero": 0.0, "one": 1.0, "mid": (1.0 + p) / 2.0, "p": p}[q_kind]
+        mixture = mixture_profile(3)
+        profiles = [
+            mixture,
+            PowerLawFunction.from_mean_and_exponent(1.3, 0.1),
+            # flat pieces (running average = value) on the left, zero weights on the right
+            LineStepFunction([0.0, 0.2, 0.45, 0.5, 0.8, 1.0], [3.0, 3.0, 1.0, 0.0, 0.0]),
+            # pieces refined many levels deep beside pieces accepted at once
+            steep_profile() if p == 2.0 else LineStepFunction([0.0, 0.02, 0.3, 1.0], [6.0, 1.0, 0.5]),
+            # the same shape at scales far apart: a tolerance per profile, not per batch
+            LineStepFunction(mixture.breakpoints, mixture.values * 1e4),
+            LineStepFunction(mixture.breakpoints, mixture.values * 1e-4),
+            LineStepFunction([0.0, 0.5, 1.0], [-0.0, -0.0]),
+            mixture_profile(4),
+        ]
+        monkeypatch.setattr(rearrange, "_REL_TOL", 1e-16)  # profiles refine to their own depths
+        alone = np.array([hardy_moment(g, p, q) for g in profiles])
+        refinements, panels = [], []
+        refine, gauss = rearrange._adaptive_gauss, rearrange._gauss_panels
+
+        def counting(*args):
+            refinements.append(args[0].size)
+            return refine(*args)
+
+        def recording(lo, *args):
+            panels.append(lo.size)
+            return gauss(lo, *args)
+
+        monkeypatch.setattr(rearrange, "_adaptive_gauss", counting)
+        monkeypatch.setattr(rearrange, "_gauss_panels", recording)
+        batched = hardy_moments(profiles, p, q)
+        np.testing.assert_array_equal(batched.view(np.int64), alone.view(np.int64))
+        # one refinement of the pieces of every step profile, past its first depth
+        # (whole panels, then left and right halves per depth); none at q = p
+        assert len(refinements) == (q != p) and (len(panels) > 3) == (q != p)
 
     def test_gauss_batches_and_panels_in_hand_stay_bounded(self, monkeypatch):
         rows = []  # rows of every _gauss_panels call

@@ -189,9 +189,9 @@ class TestEvaluateCell:
         q = {"one": 1.0, "mid": (1.0 + p) / 2.0, "p": p}[q_kind]
         profiles = []
 
-        def recording(g, *args):
-            profiles.append(g)
-            return line_moments(g, *args)
+        def recording(gs, *args):
+            profiles.extend(gs)
+            return line_moments(gs, *args)
 
         monkeypatch.setattr(sweeps, "line_moments", recording)
         out = sweeps._line_cell(p, q, beta, 12, 5)
