@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleMomentsError
+from .errors import DomainError, InfeasibleMomentsError, finite
 
 # z**p overflows well before p does; desk-scale exponent guard.
 P_MAX = 64.0
@@ -114,9 +114,7 @@ def bellman_value(p: float, f: float, big_f: float) -> BellmanPoint:
     """Evaluate ``F * omega_p(f**p/F)**p`` with its extremal parameters."""
     p = _check_p(p)
     alpha = omega_p(min(_check_moments(p, f, big_f), 1.0), p)
-    value = big_f * alpha**p
-    if not math.isfinite(value):
-        raise DomainError(f"the bound F*omega**p overflows at p={p}, f={f}, F={big_f}")
+    value = finite(f"the bound F*omega**p overflows at p={p}, f={f}, F={big_f}", lambda: big_f * alpha**p)
     return BellmanPoint(p=p, f=f, F=big_f, value=value, alpha=alpha, K=f / alpha)
 
 

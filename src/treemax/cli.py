@@ -214,8 +214,10 @@ def parse_profile(spec: str):
     if not rows:
         raise ShapeError(f"{spec}: no profile rows")
     breakpoints = np.concatenate(([0.0], [r[0] for r in rows]))
-    values = np.array([r[1] for r in rows])
-    return LineStepFunction(breakpoints, values)
+    profile = LineStepFunction(breakpoints, np.array([r[1] for r in rows]))
+    if not profile.is_non_increasing() or profile.integral() == 0.0:  # the Hardy ratio needs both
+        raise DomainError(f"{spec}: profile must be non-increasing with a positive integral")
+    return profile
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one float-range rule, :func:`finite`.
 
 Every input error derives from ValueError, so one base class catches them
 all; InvariantViolation, a guaranteed bound that failed, is a RuntimeError.
 """
+import contextlib
+import math
 
 
 class DomainError(ValueError):
@@ -28,3 +30,11 @@ class DivergentIntegralError(DomainError):
 class InvariantViolation(RuntimeError):
     """A mathematically guaranteed bound failed beyond the rounding slack."""
 
+
+def finite(message: str, *forms):
+    """The first finite value of the zero-argument ``forms``; a power that raises is not finite."""
+    for form in forms:
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value := form()):
+                return value
+    raise OverflowError(message)

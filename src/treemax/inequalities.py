@@ -9,7 +9,6 @@ roundoff, and the power-law families below drive it to zero.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -17,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bellman import _bisect, _check_p
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, finite
 from .maximal import batch_maximal_leaves
 from .rearrange import LineStepFunction, PowerLawFunction, hardy_moments
 from .tree import StepFunction
@@ -52,38 +51,38 @@ class IneqParams:
             raise DomainError(f"f must be positive and finite, got {self.f}")
 
 
-def first_constant(p: float, q: float, beta: float) -> float:
-    """Coefficient of ``-f**p`` on the right-hand side. Out of the float range
-    it divides first, and raises, as :func:`second_constant` does."""
+def _quotient(name: str, k: float, e: float, p: float, q: float, beta: float) -> float:
+    """``k (beta+1)**e / ((p-1) q beta + (p-q))``; one ``beta + 1`` is divided first if need be."""
     denominator = (p - 1.0) * q * beta + (p - q)
-    for c1 in (q * (beta + 1.0) / denominator, q * ((beta + 1.0) / denominator)):
-        if 0.0 < c1 < math.inf:
-            return c1
-    raise OverflowError(f"the constant c1 or its denominator overflows at p={p}, q={q}, beta={beta}")
+    message = f"the constant {name} or its denominator overflows at p={p}, q={q}, beta={beta}"
+    if not 0.0 < denominator < math.inf:  # the constant would read 0.0 or nan, or divide by zero
+        raise OverflowError(message)
+    return finite(
+        message,
+        lambda: k * (beta + 1.0) ** e / denominator,
+        lambda: k * (beta + 1.0) ** (e - 1.0) * ((beta + 1.0) / denominator),
+    )
+
+
+def first_constant(p: float, q: float, beta: float) -> float:
+    """Coefficient c1 of ``-f**p`` on the right-hand side."""
+    return _quotient("c1", q, 1.0, p, q, beta)
 
 
 def second_constant(p: float, q: float, beta: float) -> float:
-    """Coefficient of the mixed moment on the right-hand side. Where
-    ``(beta + 1)**q`` alone leaves the float range, one factor ``beta + 1`` is
-    divided by the denominator first; a coefficient or a denominator beyond
-    that range (which would read c2 as 0.0 or nan) raises ``OverflowError``."""
-    denominator = (p - 1.0) * q * beta + (p - q)
-    with contextlib.suppress(OverflowError):
-        if 0.0 < (c2 := p * (beta + 1.0) ** q / denominator) < math.inf:
-            return c2
-    with contextlib.suppress(OverflowError):
-        if 0.0 < (c2 := p * (beta + 1.0) ** (q - 1.0) * ((beta + 1.0) / denominator)) < math.inf:
-            return c2
-    raise OverflowError(f"the constant c2 or its denominator overflows at p={p}, q={q}, beta={beta}")
+    """Coefficient c2 of the mixed moment on the right-hand side."""
+    return _quotient("c2", p, q, p, q, beta)
 
 
 def coupling_constant(p: float, q: float, beta: float) -> float:
     """``A(p, q, beta)``: the reciprocal of :func:`second_constant`, i.e. the
     weight for which ``mixed moment >= A * J0 + (q/p)(beta+1)**(1-q) f**p``.
     Where ``(beta + 1)**q`` overflows, ``beta / (beta + 1)`` is taken first."""
-    with contextlib.suppress(OverflowError):
-        return (q - 1.0) * beta / (beta + 1.0) ** q + (p - q) / p * (beta + 1.0) ** (1.0 - q)
-    return ((q - 1.0) * (beta / (beta + 1.0)) + (p - q) / p) * (beta + 1.0) ** (1.0 - q)
+    return finite(
+        f"the constant A overflows at p={p}, q={q}, beta={beta}",
+        lambda: (q - 1.0) * beta / (beta + 1.0) ** q + (p - q) / p * (beta + 1.0) ** (1.0 - q),
+        lambda: ((q - 1.0) * (beta / (beta + 1.0)) + (p - q) / p) * (beta + 1.0) ** (1.0 - q),
+    )
 
 
 def root_function(t: float, p: float, q: float, coupling: float) -> float:
@@ -309,10 +308,9 @@ def beta_family_residual(p: float, q: float, beta: float, f: float) -> tuple[flo
     if not _beta_admissible(beta, p):
         raise DomainError(f"beta must lie in (0, 1/(p-1)], got {beta}")
     c = f / (beta + 1.0)  # = f * (1 - alpha)
-    with contextlib.suppress(OverflowError):  # the products stay below f**p: only a power overflows
-        target = (q / p) * (beta + 1.0) ** (1.0 - q) * f**p
-        return (q / p) * c**p * (beta + 1.0) ** (p - q + 1.0), target
-    raise OverflowError(f"the residual Jq - A*J0 or its target overflows at p={p}, q={q}, beta={beta}, f={f}")
+    message = f"the residual Jq - A*J0 or its target overflows at p={p}, q={q}, beta={beta}, f={f}"
+    target = finite(message, lambda: (q / p) * (beta + 1.0) ** (1.0 - q) * f**p)
+    return finite(message, lambda: (q / p) * c**p * (beta + 1.0) ** (p - q + 1.0)), target
 
 
 def extremizer_sweep(

@@ -7,14 +7,12 @@ step profiles the integrals fall back to piecewise adaptive Gauss quadrature.
 """
 from __future__ import annotations
 
-import contextlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bellman import _check_p
-from .errors import DivergentIntegralError, DomainError, ShapeError
+from .errors import DivergentIntegralError, DomainError, ShapeError, finite
 from .tree import StepFunction, Tree
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(32)
@@ -71,7 +69,9 @@ class LineStepFunction:
 
     def power_integral(self, r: float) -> float:
         """Exact integral of ``g**r`` (finite sum; no quadrature needed)."""
-        return float((self.values**r * self.widths()).sum())
+        with np.errstate(over="ignore"):  # an infinite sum raises in finite
+            total = float((self.values**r * self.widths()).sum())
+        return finite(f"the integral of g**{r:g} overflows", lambda: total)
 
     def is_non_increasing(self) -> bool:
         return bool(np.all(np.diff(self.values) <= 0))
@@ -118,10 +118,7 @@ class PowerLawFunction:
             raise DivergentIntegralError(
                 f"t**(-{self.a * r:g}) is not integrable near 0"
             )
-        with contextlib.suppress(OverflowError):
-            if math.isfinite(value := self.c**r / (1.0 - self.a * r)):
-                return value
-        raise OverflowError(f"the integral of g**{r:g} overflows")
+        return finite(f"the integral of g**{r:g} overflows", lambda: self.c**r / (1.0 - self.a * r))
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +275,13 @@ def hardy_moments(profiles, p: float, q: float) -> np.ndarray:
                 raise DivergentIntegralError(
                     f"averaging integral diverges: a*p = {g.a * p:g} >= 1"
                 )
-            with contextlib.suppress(OverflowError):
-                if math.isfinite(value := g.c**p * (1.0 - g.a) ** (q - p) / (1.0 - g.a * p)):
-                    out[k] = value
-                    continue
-            raise OverflowError(f"the integral of g**{q:g} * (running average)**{p - q:g} overflows")
-        if not isinstance(g, LineStepFunction):
+            out[k] = finite(
+                f"the integral of g**{q:g} * (running average)**{p - q:g} overflows",
+                lambda: g.c**p * (1.0 - g.a) ** (q - p) / (1.0 - g.a * p),
+            )
+        elif not isinstance(g, LineStepFunction):
             raise DomainError(f"unsupported profile {type(g).__name__}")
-        if q == p:
+        elif q == p:
             out[k] = g.power_integral(p)
         else:
             steps.append(k)
@@ -310,8 +306,8 @@ def hardy_moments(profiles, p: float, q: float) -> np.ndarray:
         # for a non-increasing g, J lies between the integral of g**p and
         # (p/(p-1))**p times it; the floor stops a tiny profile refining forever
         scale = np.repeat([max(g.power_integral(p), 1.0) for g in gs], counts)
-    if not (np.isfinite(value).all() and np.isfinite(peaks).all() and np.isfinite(scale).all()):
-        raise OverflowError(f"(running average)**{r:g} or g**{p:g} exceeds the float range")
+    if not (np.isfinite(value).all() and np.isfinite(peaks).all()):
+        raise OverflowError(f"(running average)**{r:g} or g**{q:g} exceeds the float range")
     value[smooth] = _adaptive_gauss(lo, hi, v[smooth], offset[smooth], weight[smooth], r, scale[smooth])
     # piece by piece from the left, not pairwise; + 0.0 turns a sum of -0.0
     # pieces into 0.0, as a running total started at 0.0 gives

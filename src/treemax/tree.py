@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SizeError
+from .errors import DomainError, ShapeError, SizeError, finite
 
 # Hard cap on the leaf count of a single tree; desk-scale guard, not a
 # physical limit.
@@ -135,13 +135,9 @@ def moment(phi: StepFunction, r: float) -> float:
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"moment order must be positive and finite, got {r}")
-    v = phi.leaf_values
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        powered = v if r == 1.0 else v**r
-        result = float(powered.sum()) * phi.tree.leaf_measure
-    if not math.isfinite(result):
-        raise DomainError(f"the moment of order {r} overflows")
-    return result
+    with np.errstate(over="ignore"):  # an infinite sum raises in finite
+        total = float((phi.leaf_values if r == 1.0 else phi.leaf_values**r).sum())
+    return finite(f"the moment of order {r} overflows", lambda: total * phi.tree.leaf_measure)
 
 
 # -- file format --------------------------------------------------------

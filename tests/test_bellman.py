@@ -136,7 +136,15 @@ class TestBellmanValue:
 
     def test_overflowing_bound(self):
         # F is finite but F * omega**p is not
-        with pytest.raises(DomainError):
+        with pytest.raises(OverflowError):
+            bellman_value(3.0, 65.0, 1e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_is_the_plain_product_or_raises(self):
+        point = bellman_value(3.0, 1.2, 4.0)
+        assert point.value == 4.0 * point.alpha**3.0
+        message = r"^the bound F\*omega\*\*p overflows at p=3.0, f=65.0, F=1e\+308$"
+        with pytest.raises(OverflowError, match=message):
             bellman_value(3.0, 65.0, 1e308)
 
     def test_upper_bound_on_random_step_functions(self, rng):

@@ -193,7 +193,7 @@ class TestMaximalCommand:
         argv = ["maximal", "--input", str(path), "--p", "64"]
         status = main(argv + ["--output", str(tmp_path / "out.json")] if to_file else argv)
         assert status == 1
-        assert capsys.readouterr() == ("", "error: the moment of order 64.0 overflows\n")
+        assert capsys.readouterr() == ("", "error: floating-point overflow: the moment of order 64.0 overflows\n")
         assert list(tmp_path.iterdir()) == [path]
 
     def test_report_does_not_depend_on_the_chunk_size(self, capsys, tmp_path, monkeypatch):
@@ -785,6 +785,10 @@ class TestErrorPaths:
             ("0.5,x\n1,1\n", "line 1: expected 't,value', got '0.5,x'"),
             # the line integral overflows: rejected before any quadrature
             ("0.0001,1e8\n1,1\n", "floating-point overflow"),
+            # the Hardy target bounds the orbit of a non-increasing profile only
+            ("0.5,1\n1,3\n", "prof.csv: profile must be non-increasing with a positive integral"),
+            # a zero target: the ratio would divide by zero
+            ("0.5,0\n1,0\n", "prof.csv: profile must be non-increasing with a positive integral"),
         ],
     )
     def test_bad_profile_csv_exits_one(self, capsys, tmp_path, profile, message):
@@ -876,12 +880,32 @@ class TestErrorPaths:
                 "floating-point overflow: the residual Jq - A*J0 or its target overflows"
                 " at p=64.0, q=64.0, beta=0.003968253968253968, f=10000000000.0",
             ),
+            (
+                ["bellman", "--p", "3", "--f", "65", "--F", "1e308"],
+                "floating-point overflow: the bound F*omega**p overflows at p=3.0, f=65.0, F=1e+308",
+            ),
+            # (p-1) q beta + (p-q) is 0.0: c2 would divide by zero
+            *(
+                (
+                    argv + ["--p", "1.0000000000000002", "--q", "1.0000000000000002", "--beta", "5e-324"],
+                    "floating-point overflow: the constant c2 or its denominator overflows"
+                    " at p=1.0000000000000002, q=1.0000000000000002, beta=5e-324",
+                )
+                for argv in (
+                    ["verify", "--ineq", "1.9", "--trials", "3", "--depth", "2"],
+                    ["verify", "--ineq", "1.10", "--trials", "3"],
+                    ["sharpness", "--family", "g_beta", "--grid", "5e-324"],
+                )
+            ),
         ],
         ids=[
             "verify-c2", "verify-c2-denominator", "bellman-f-power", "sharpness-closed-form",
-            "sharpness-grid-item", "sharpness-beta-residual",
+            "sharpness-grid-item", "sharpness-beta-residual", "bellman-bound",
+            "verify-1.9-zero-denominator", "verify-1.10-zero-denominator",
+            "sharpness-zero-denominator",
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a numpy warning would raise, not print
     def test_error_line_names_what_failed(self, capsys, tmp_path, argv, message):
         status = main(argv + ["--output", str(tmp_path / "out")])
         assert status == 1

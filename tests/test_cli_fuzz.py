@@ -55,7 +55,8 @@ OPTIONS = {
         "--p": number, "--f": number, "--F": number, "--arity": number, "--seed": number,
         "--depth": size, "--seeds": size,
         "--g": st.one_of(
-            st.sampled_from(["profile.csv", "garbage.csv", "missing.csv", "powerlaw:f=1"]),
+            st.sampled_from(["profile.csv", "rising.csv", "zero.csv", "garbage.csv", "missing.csv",
+                             "powerlaw:f=1"]),
             st.builds("powerlaw:f={},alpha={}".format, number, number),
         ),
     },
@@ -82,6 +83,10 @@ def _write_inputs(work: str) -> None:
                        os.path.join(work, "phi.csv"))
     with open(os.path.join(work, "profile.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,value\n0.25,3\n0.5,1\n1,0.5\n")
+    with open(os.path.join(work, "rising.csv"), "w", encoding="utf-8") as fh:
+        fh.write("0.5,1\n1,3\n")
+    with open(os.path.join(work, "zero.csv"), "w", encoding="utf-8") as fh:
+        fh.write("0.5,0\n1,0\n")
     with open(os.path.join(work, "garbage.csv"), "w", encoding="utf-8") as fh:
         fh.write("2,x\n1\nnan,\n")
 
@@ -90,6 +95,14 @@ def _write_inputs(work: str) -> None:
 @given(argument_vectors())
 @example(["verify", "--ineq", "1.10", "--p", "64", "--q", "1", "--trials", "8"])
 @example(["symmetrize", "--p", "64", "--depth", "8", "--g", "powerlaw:f=1e308,alpha=0"])
+@example(["verify", "--ineq", "1.9", "--p", "1.0000000000000002", "--q", "1.0000000000000002",
+          "--beta", "5e-324"])
+@example(["verify", "--ineq", "1.10", "--p", "1.0000000000000002", "--q", "1.0000000000000002",
+          "--beta", "5e-324"])
+@example(["sharpness", "--family", "g_beta", "--p", "1.0000000000000002", "--q", "1.0000000000000002",
+          "--beta", "5e-324", "--grid", "5e-324"])
+@example(["symmetrize", "--p", "2", "--depth", "1", "--g", "rising.csv"])
+@example(["symmetrize", "--p", "2", "--depth", "1", "--g", "zero.csv"])
 def test_fuzzed_arguments_exit_cleanly(argv):
     with tempfile.TemporaryDirectory() as work:
         _write_inputs(work)
@@ -101,5 +114,5 @@ def test_fuzzed_arguments_exit_cleanly(argv):
         assert status in (0, 1, 2), (argv, status)
         assert "Traceback" not in err.getvalue(), argv
         if status == 1:
-            left = set(os.listdir(work)) - {"phi.csv", "profile.csv", "garbage.csv"}
+            left = set(os.listdir(work)) - {"phi.csv", "profile.csv", "rising.csv", "zero.csv", "garbage.csv"}
             assert not left, (argv, left)

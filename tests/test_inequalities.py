@@ -28,7 +28,7 @@ from treemax import (
 )
 
 from treemax import rearrange
-from treemax.errors import InvariantViolation
+from treemax.errors import InvariantViolation, finite
 from treemax.inequalities import _report, beyond_slack, line_moments
 
 from conftest import random_step_function, steep_profile
@@ -116,6 +116,15 @@ class TestConstants:
             ) / (2 * step)
             assert slope > 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_is_the_first_finite_form(self):
+        # a power that raises, inf and nan are not finite; a later form is not evaluated
+        forms = [lambda: 10.0**400, lambda: math.inf, lambda: math.nan, lambda: 2.5, lambda: 1 / 0]
+        assert finite("unused", *forms) == 2.5
+        with pytest.raises(OverflowError, match="^the value overflows$"):
+            finite("the value overflows", *forms[:3])
+
+    @pytest.mark.filterwarnings("error")
     def test_second_constant_past_the_range_of_its_power(self):
         # the plain quotient, bit for bit, wherever it is finite
         plain = 3.0 * (0.4 + 1.0) ** 1.7 / (2.0 * 1.7 * 0.4 + (3.0 - 1.7))
@@ -134,20 +143,32 @@ class TestConstants:
             message = f"the constant c2 or its denominator overflows at p={p}, q={q}, beta={beta}"
             with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
                 second_constant(p, q, beta)
+        # a zero denominator: the plain quotient divides by zero
+        p = q = 1.0000000000000002
+        message = f"the constant c2 or its denominator overflows at p={p}, q={q}, beta=5e-324"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            second_constant(p, q, 5e-324)
 
+    @pytest.mark.filterwarnings("error")
     def test_first_constant_past_the_range_of_its_quotient(self):
         # the plain quotient, bit for bit, wherever it is finite
         assert first_constant(3.0, 1.7, 0.4) == 1.7 * (0.4 + 1.0) / (2.0 * 1.7 * 0.4 + (3.0 - 1.7))
         # q (beta + 1) is inf, the denominator is not: dividing first gives c1, about 1/(p-1)
         assert first_constant(1.5, 1.2, 1.6e308) == pytest.approx(2.0, rel=1e-15)
 
-    @pytest.mark.parametrize("p,q,beta", [(3.0, 1.0, 1e308), (2.0, 1.5, 1.5e308)])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "p,q,beta",
+        [(3.0, 1.0, 1e308), (2.0, 1.5, 1.5e308), (1.0000000000000002, 1.0000000000000002, 5e-324)],
+    )
     def test_first_constant_past_the_range_of_its_denominator(self, p, q, beta):
-        # an infinite denominator read c1 as 0.0 or nan, though c1 is about 0.5 and 1
+        # an infinite denominator read c1 as 0.0 or nan, though c1 is about 0.5 and 1;
+        # a zero one divided by zero
         message = f"the constant c1 or its denominator overflows at p={p}, q={q}, beta={beta}"
         with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
             first_constant(p, q, beta)
 
+    @pytest.mark.filterwarnings("error")
     def test_coupling_constant_past_the_range_of_its_power(self):
         # the plain sum, bit for bit, wherever it is finite
         plain = 0.7 * 0.4 / (0.4 + 1.0) ** 1.7 + (3.0 - 1.7) / 3.0 * (0.4 + 1.0) ** (1.0 - 1.7)
@@ -156,8 +177,16 @@ class TestConstants:
         assert coupling_constant(2.0, 2.0, 1e160) == pytest.approx(1e-160, rel=1e-15)
         # the root of A + t (t - 1), 1 - A to within rounding
         assert t_beta(2.0, 2.0, 1e160) == 1.0
+        # an infinite beta reads both forms as nan
+        with pytest.raises(OverflowError, match=r"^the constant A overflows at p=2.0, q=1.5, beta=inf$"):
+            coupling_constant(2.0, 1.5, math.inf)
 
+    @pytest.mark.filterwarnings("error")
     def test_beta_family_residual_past_the_float_range(self):
+        # the plain products, bit for bit, wherever they are finite
+        residual = (1.7 / 3.0) * (2.0 / 1.25) ** 3.0 * 1.25 ** (3.0 - 1.7 + 1.0)
+        target = (1.7 / 3.0) * 1.25 ** (1.0 - 1.7) * 2.0**3.0
+        assert beta_family_residual(3.0, 1.7, 0.25, 2.0) == (residual, target)
         message = (
             "the residual Jq - A*J0 or its target overflows at p=64.0, q=64.0, beta=0.01, "
             "f=10000000000.0"

@@ -218,7 +218,15 @@ class TestPowerLawFunction:
         with pytest.raises(DivergentIntegralError):
             g.power_integral(2.0)
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would raise
     def test_closed_forms_beyond_the_float_range_raise(self):
+        # the plain expressions, bit for bit, wherever they are finite
+        g = PowerLawFunction(c=1.5, a=0.3)
+        assert g.power_integral(2.0) == 1.5**2.0 / (1.0 - 0.3 * 2.0)
+        assert hardy_moment(g, 2.0, 1.5) == 1.5**2.0 * (1.0 - 0.3) ** (1.5 - 2.0) / (1.0 - 0.3 * 2.0)
+        line = LineStepFunction([0.0, 0.25, 1.0], [3.0, 1.0])
+        assert line.power_integral(5.0) == float((np.array([3.0, 1.0]) ** 5.0 * [0.25, 0.75]).sum())
+        assert hardy_moment(line, 5.0, 5.0) == line.power_integral(5.0)
         big = PowerLawFunction(c=1e10, a=0.0)  # c**64 raises
         with pytest.raises(OverflowError, match=r"^the integral of g\*\*64 overflows$"):
             big.power_integral(64.0)
@@ -230,6 +238,13 @@ class TestPowerLawFunction:
             steep.power_integral(2.0)
         with pytest.raises(OverflowError, match=r"\(running average\)\*\*1 overflows"):
             hardy_moment(steep, 2.0, 1.0)
+        # (1e150)**5 is inf in numpy: the step integral of g**5 read inf, with a warning
+        with pytest.raises(OverflowError, match=r"^the integral of g\*\*5 overflows$"):
+            steep_profile().power_integral(5.0)
+        with pytest.raises(OverflowError, match=r"^the integral of g\*\*5 overflows$"):
+            hardy_moment(steep_profile(), 5.0, 5.0)
+        with pytest.raises(OverflowError, match=r"^the integral of g\*\*5 overflows$"):
+            hardy_moments([line, steep_profile()], 5.0, 5.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):

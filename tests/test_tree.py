@@ -169,7 +169,15 @@ class TestMoment:
     def test_overflow_rejected(self):
         phi = StepFunction(Tree(2, 1), [1e10, 1.0])
         assert moment(phi, 1) == (1e10 + 1.0) / 2
-        with pytest.raises(DomainError):
+        with pytest.raises(OverflowError):
+            moment(phi, 64)
+
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would raise
+    def test_moment_is_the_plain_sum_or_raises(self):
+        values = np.array([1e10, 1.0, 3.5, 0.25])
+        phi = StepFunction(Tree(2, 2), values)
+        assert moment(phi, 2.5) == float((values**2.5).sum()) * 0.25
+        with pytest.raises(OverflowError, match=r"^the moment of order 64 overflows$"):
             moment(phi, 64)
 
     @settings(deadline=None, max_examples=50)
