@@ -8,9 +8,7 @@ its minimum over the parameter (:func:`minimize_envelope`).
 """
 from __future__ import annotations
 
-import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleMomentsError, finite
@@ -18,10 +16,8 @@ from .errors import DomainError, InfeasibleMomentsError, finite
 # z**p overflows well before p does; desk-scale exponent guard.
 P_MAX = 64.0
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step
-_BETA_TOL = 1e-10  # bracket width at which the envelope search stops
-# Step cap of every bracket search: brackets that collapse or reach
-# _BETA_TOL do so within ~123 steps; the cap ends those that cannot.
+# Step cap of every bisection: brackets collapse to adjacent floats within
+# ~100 halvings; the cap ends those that cannot.
 _MAX_STEPS = 200
 
 
@@ -123,38 +119,24 @@ def _envelope(p: float, f: float, big_f: float, beta: float) -> float:
     return (beta + 1.0) / beta * ((beta + 1.0) ** (p - 1.0) * big_f - f**p) / (p - 1.0)
 
 
+def _scaled_slope(p: float, ratio: float, beta: float) -> float:
+    """The envelope's slope times ``beta**2 (p-1) / F``, with ``ratio = f**p / F``.
+    It increases with beta > 0, from ``ratio - 1 < 0`` at 0 to ``ratio > 0``
+    at ``1/(p-1)``, where ``(beta+1)**(p-1) <= e``: nothing here overflows."""
+    return ratio + (beta + 1.0) ** (p - 1.0) * (beta * (p - 1.0) - 1.0)
+
+
 def minimize_envelope(p: float, f: float, big_f: float) -> tuple[float, float]:
-    """Golden-section minimum of the envelope over beta in (0, 1/(p-1)].
+    """Minimum of the envelope over beta in (0, 1/(p-1)], at the one sign
+    change of its slope (:func:`_scaled_slope`), bisected to adjacent floats.
 
     Returns ``(beta_opt, min_value)``. The minimum matches the closed form of
-    :func:`bellman_value`; the boundary pair F = f**p degenerates to the
-    limit value f**p at beta -> 0.
+    :func:`bellman_value`, and ``beta_opt + 1`` is ``omega_p(f**p/F)``; the
+    boundary pair F = f**p degenerates to the limit value f**p at beta -> 0.
     """
     p = _check_p(p)
-    _check_moments(p, f, big_f)
+    ratio = _check_moments(p, f, big_f)
     if big_f <= f**p:
         return 0.0, f**p
-
-    envelope = functools.partial(_envelope, p, f, big_f)
-    lo, hi = 1e-12, 1.0 / (p - 1.0)
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = envelope(x1), envelope(x2)
-    for _ in range(_MAX_STEPS):
-        if hi - lo <= _BETA_TOL:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = envelope(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = envelope(x2)
-    beta_opt = 0.5 * (lo + hi)
-    min_value = envelope(beta_opt)
-    edge = min(envelope(1e-12), envelope(1.0 / (p - 1.0)))
-    if min_value > edge * (1.0 + 1e-9):
-        # not expected: the envelope is strictly unimodal on the bracket
-        warnings.warn("envelope minimum not interior; result may be inaccurate")
-    return beta_opt, min_value
+    beta_opt = _bisect(lambda beta: _scaled_slope(p, ratio, beta) < 0.0, 0.0, 1.0 / (p - 1.0))
+    return beta_opt, _envelope(p, f, big_f, beta_opt)

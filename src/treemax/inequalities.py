@@ -24,6 +24,10 @@ from .tree import StepFunction
 # A computed deficit may dip below zero by accumulated rounding only; this is
 # the relative slack before we call it a genuine violation.
 DEFICIT_SLACK = 1e-9
+# c1 and c2 grow like 1/(p-1) while a deficit stays O(1), so nearer p = 1 the
+# rounding of the right-hand side alone passes DEFICIT_SLACK; at this gap the
+# worst measured q = 1 (1.10) row stays 10x below the slack.
+P_GAP = 1e-5
 
 
 def beyond_slack(deficit, rhs):
@@ -42,7 +46,8 @@ class IneqParams:
     f: float = 1.0
 
     def __post_init__(self):
-        _check_p(self.p)
+        if _check_p(self.p) - 1.0 < P_GAP:
+            raise DomainError(f"p must exceed 1 by at least {P_GAP:g}, got p={self.p}")
         if not 1.0 <= self.q <= self.p:
             raise DomainError(f"q must lie in [1, p], got q={self.q}, p={self.p}")
         if not 0.0 < self.beta < math.inf:
@@ -94,19 +99,26 @@ def root_function(t: float, p: float, q: float, coupling: float) -> float:
 def t_beta(p: float, q: float, beta: float) -> float:
     """The unique root of :func:`root_function` at or above ``t0 = (p-1)/p``.
     ``1/(beta+1)`` is always a root, and it lies at or above ``t0`` exactly
-    when beta <= 1/(p-1); past that the root function is negative at ``t0``
-    and the root is bisected. For q == 1 the root function vanishes
-    everywhere, and this is the continuous-in-q value ``1/(beta+1)``."""
+    when beta <= 1/(p-1). Past that the root function is negative at ``t0``,
+    and the root is bisected on the sign of the root function divided by
+    ``(q-1) t**(q-1)``, where ``expm1`` keeps the digits as q -> 1. For q == 1
+    the root function vanishes everywhere, and ``1/(beta+1)`` is returned by
+    convention; past 1/(p-1) the q -> 1+ limit of the root differs from it."""
     IneqParams(p, q, beta)  # validates the parameter triple
     if q == 1.0 or beta <= 1.0 / (p - 1.0):
         return 1.0 / (beta + 1.0)
-    coupling = coupling_constant(p, q, beta)
-    hi = max(1.0, 1.0 / (beta + 1.0) + 1.0)
-    while root_function(hi, p, q, coupling) <= 0.0:
+
+    def scaled(t: float) -> float:
+        u = (beta + 1.0) * t  # inf only for beta near the float maximum
+        x = (q - 1.0) * (math.log(u) if u < math.inf else math.log1p(beta) + math.log(t))
+        return t - math.exp(-x) / (beta + 1.0) + q * (p - 1.0) / p * math.expm1(-x) / (q - 1.0)
+
+    hi = 1.0 / (beta + 1.0) + 1.0
+    while scaled(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise InvariantViolation("failed to bracket the envelope root")
-    return _bisect(lambda t: root_function(t, p, q, coupling) < 0.0, (p - 1.0) / p, hi)
+    return _bisect(lambda t: scaled(t) < 0.0, (p - 1.0) / p, hi)
 
 
 # ---------------------------------------------------------------------------

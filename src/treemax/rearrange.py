@@ -130,7 +130,7 @@ def decreasing_rearrangement(phi: StepFunction) -> LineStepFunction:
     """Sort the leaf values descending onto (0, 1] with cumulative measures.
 
     The sort is stable, so equal values keep their canonical leaf order and
-    repeated runs produce identical golden files. The result is
+    repeated runs write identical bytes. The result is
     equimeasurable with ``phi``: level sets match exactly for every lambda.
     """
     order = np.argsort(-phi.leaf_values, kind="stable")

@@ -17,6 +17,7 @@ from treemax import (
     moment,
     omega_p,
 )
+from treemax.bellman import _envelope, _scaled_slope
 
 from conftest import random_step_function
 
@@ -204,13 +205,28 @@ class TestEnvelope:
             ratio = float(rng.uniform(0.01, 0.99))
             big_f = f**p / ratio
             beta_opt, _ = minimize_envelope(p, f, big_f)
-            assert beta_opt + 1.0 == pytest.approx(omega_p(ratio, p), abs=1e-6)
+            assert beta_opt + 1.0 == pytest.approx(omega_p(ratio, p), abs=1e-14)
 
     def test_float_spacing_above_tolerance(self):
-        # beta_opt ~ 1e7, where adjacent floats lie further apart than the
-        # search's bracket tolerance; the step cap ends the search
+        # the bracket (0, 1/(p-1)] reaches 1e7, where adjacent floats lie
+        # about 2e-9 apart
         _, value = minimize_envelope(1.0000001, 2.0, 64.0)
         assert value == pytest.approx(bellman_value(1.0000001, 2.0, 64.0).value, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 5.0, 64.0])
+    def test_slope_sign_matches_the_envelope(self, p):
+        # the hand-derived slope against a central difference of the envelope
+        f, resolved = 1.3, 0
+        for ratio in (0.99, 0.5, 1e-3):
+            big_f = f**p / ratio
+            for beta in np.linspace(0.02, 1.0, 50) / (p - 1.0):
+                h = 1e-5 * beta
+                left, right = (_envelope(p, f, big_f, beta + s) for s in (-h, h))
+                if abs(right - left) <= 1e-9 * abs(right):  # within rounding
+                    continue
+                resolved += 1
+                assert (_scaled_slope(p, ratio, beta) > 0.0) == (right > left), (ratio, beta)
+        assert resolved >= 100
 
     def test_non_finite_moments(self):
         for f, big_f in [(math.nan, 2.0), (1.0, math.inf), (0.0, 1.0)]:

@@ -887,9 +887,9 @@ class TestErrorPaths:
             # (p-1) q beta + (p-q) is 0.0: c2 would divide by zero
             *(
                 (
-                    argv + ["--p", "1.0000000000000002", "--q", "1.0000000000000002", "--beta", "5e-324"],
+                    argv + ["--p", "1.00001", "--q", "1.00001", "--beta", "5e-324"],
                     "floating-point overflow: the constant c2 or its denominator overflows"
-                    " at p=1.0000000000000002, q=1.0000000000000002, beta=5e-324",
+                    " at p=1.00001, q=1.00001, beta=5e-324",
                 )
                 for argv in (
                     ["verify", "--ineq", "1.9", "--trials", "3", "--depth", "2"],
@@ -897,12 +897,25 @@ class TestErrorPaths:
                     ["sharpness", "--family", "g_beta", "--grid", "5e-324"],
                 )
             ),
+            # c1 and c2 grow like 1/(p-1): nearer p = 1 rounding alone would read as a counterexample
+            *(
+                (argv, "p must exceed 1 by at least 1e-05, got p=" + p)
+                for argv, p in (
+                    (["verify", "--ineq", "1.10", "--p", "1.000000001", "--q", "1", "--beta", "0.5",
+                      "--trials", "200", "--seed", "3"], "1.000000001"),
+                    (["verify", "--ineq", "1.7", "--p", "1.0000000000000002", "--trials", "200",
+                      "--seed", "3"], "1.0000000000000002"),
+                    (["sharpness", "--family", "g_alpha", "--p", "1.0000001", "--q", "1",
+                      "--points", "20"], "1.0000001"),
+                )
+            ),
         ],
         ids=[
             "verify-c2", "verify-c2-denominator", "bellman-f-power", "sharpness-closed-form",
             "sharpness-grid-item", "sharpness-beta-residual", "bellman-bound",
             "verify-1.9-zero-denominator", "verify-1.10-zero-denominator",
-            "sharpness-zero-denominator",
+            "sharpness-zero-denominator", "verify-1.10-p-near-one", "verify-1.7-p-near-one",
+            "sharpness-p-near-one",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy warning would raise, not print

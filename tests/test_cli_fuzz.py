@@ -95,11 +95,11 @@ def _write_inputs(work: str) -> None:
 @given(argument_vectors())
 @example(["verify", "--ineq", "1.10", "--p", "64", "--q", "1", "--trials", "8"])
 @example(["symmetrize", "--p", "64", "--depth", "8", "--g", "powerlaw:f=1e308,alpha=0"])
-@example(["verify", "--ineq", "1.9", "--p", "1.0000000000000002", "--q", "1.0000000000000002",
+@example(["verify", "--ineq", "1.9", "--p", "1.00001", "--q", "1.00001",
           "--beta", "5e-324"])
-@example(["verify", "--ineq", "1.10", "--p", "1.0000000000000002", "--q", "1.0000000000000002",
+@example(["verify", "--ineq", "1.10", "--p", "1.00001", "--q", "1.00001",
           "--beta", "5e-324"])
-@example(["sharpness", "--family", "g_beta", "--p", "1.0000000000000002", "--q", "1.0000000000000002",
+@example(["sharpness", "--family", "g_beta", "--p", "1.00001", "--q", "1.00001",
           "--beta", "5e-324", "--grid", "5e-324"])
 @example(["symmetrize", "--p", "2", "--depth", "1", "--g", "rising.csv"])
 @example(["symmetrize", "--p", "2", "--depth", "1", "--g", "zero.csv"])

@@ -133,7 +133,7 @@ CASES = {
     ),
     "bellman": (
         "bellman --p 3 --f 1 --F 2",
-        {"stdout": "fca6476255b21533ec8dc9b5ee289eeb11287543f5e8a292ad8f57d699fe51da"},
+        {"stdout": "2fd9279b5b5447cc54ca47f9ee3740fa0178b1d1900db35bfb0b6aef1258b65c"},
     ),
     "sharpness-g_beta": (
         "sharpness --family g_beta --p 2 --q 1.5 --points 8",

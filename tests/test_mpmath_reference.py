@@ -1,10 +1,11 @@
 """A 40-digit mpmath reference for the extremal curve and the inequality constants.
 
 Every reference takes the float arguments exactly (``mpf(x)`` is the double
-itself) and works at 40 digits, bisecting in mpmath where the package bisects
-in floats, so its own error is far below the float results it checks. The
-tolerances are the claimed ones: 1e-12 for ``omega_p`` and ``bellman_value``,
-a few ulps for the closed forms and for ``t_beta``.
+itself) and works at 40 digits (60 for the envelope minimum), bisecting in
+mpmath where the package bisects in floats, so its own error is far below the
+float results it checks. The tolerances are the claimed ones: 1e-12 for
+``omega_p``, ``bellman_value`` and ``minimize_envelope``, a few ulps for the
+closed forms and for ``t_beta``.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import mpmath
 import pytest
 
-from treemax import bellman_value, beta_family_residual, omega_p, t_beta
+from treemax import bellman_value, beta_family_residual, minimize_envelope, omega_p, t_beta
 from treemax.sweeps import BATTERY_PS, battery_betas, battery_qs
 
 DPS = 40
@@ -25,7 +26,7 @@ def _ulps(value: float, reference) -> float:
 
 
 def _bisect(go_right, lo, hi):
-    """150 halvings: a bracket of width at most 4 shrinks below 1e-44."""
+    """150 halvings: a bracket of width at most 1000 shrinks below 1e-42."""
     for _ in range(150):
         mid = (lo + hi) / 2
         if go_right(mid):
@@ -64,7 +65,8 @@ def _residual_difference(p: float, q: float, beta: float, f: float):
 
 def _t_beta(p: float, q: float, beta: float):
     """The root of the envelope's root function above ``t0 = (p-1)/p``; for
-    q = 1 the function vanishes and ``t_beta`` is the limit ``1/(beta+1)``."""
+    q = 1 the function vanishes and ``t_beta`` is ``1/(beta+1)`` by
+    convention (past ``1/(p-1)`` the q -> 1+ limit of the root differs)."""
     p, q, beta = map(mpmath.mpf, (p, q, beta))
     if q == 1:
         return 1 / (beta + 1)
@@ -111,6 +113,23 @@ def test_bellman_value_within_1e_12(p):
             assert abs(point.value - reference) <= 1e-12 * reference, (f, big_f)
 
 
+@pytest.mark.parametrize("p", [1.001, 1.2, 1.5, 2.0, 3.0, 5.0, 16.0, 64.0])
+def test_envelope_minimum_against_the_inverse_curve(p):
+    """``beta_opt + 1`` is ``omega_p(f**p/F)`` and the envelope's minimum the
+    Bellman value ``F omega**p``, here at 60 digits. Nearer the Jensen
+    boundary ``F = f**p`` the minimizer is ill-conditioned, so this grid
+    stops at ``F/f**p = 1.01``."""
+    with mpmath.workdps(60):
+        for ratio in (1.01, 1.5, 3.0, 100.0, 1e6):
+            for f in (0.3, 1.0, 2.5):
+                big_f = f**p * ratio
+                beta_opt, min_value = minimize_envelope(p, f, big_f)
+                alpha = _omega(mpmath.mpf(f) ** p / mpmath.mpf(big_f), p)
+                reference = mpmath.mpf(big_f) * alpha**p
+                assert abs(beta_opt - (alpha - 1)) <= 1e-12 * (alpha - 1), (ratio, f)
+                assert abs(min_value - reference) <= 1e-12 * reference, (ratio, f)
+
+
 @pytest.mark.parametrize("p", BATTERY_PS)
 def test_beta_family_residual_at_the_battery_betas(p):
     """The three admissible battery betas (the last is the endpoint
@@ -148,6 +167,26 @@ def test_t_beta_off_the_double_root():
             if q > 1.0 and beta == 1.0 / (p - 1.0):
                 continue
             assert _ulps(t_beta(p, q, beta), _t_beta(p, q, beta)) <= 4, (p, q, beta)
+
+
+@pytest.mark.parametrize("p,beta", [(2.0, 2.0), (5.0, 1.0), (1.5, 10.0)])
+def test_t_beta_as_q_nears_one(p, beta):
+    """Past ``beta = 1/(p-1)`` the root function is a difference of terms
+    that agree to ``q - 1``; with that factor taken out the root keeps its
+    digits."""
+    with mpmath.workdps(DPS):
+        for gap in (1e-6, 1e-9, 1e-12, 1e-14):
+            q = 1.0 + gap
+            assert _ulps(t_beta(p, q, beta), _t_beta(p, q, beta)) <= 8, gap
+
+
+def test_t_beta_where_beta_plus_one_times_t_overflows():
+    """Near the float maximum ``(beta+1) t`` is inf, and the logarithm of
+    the product is taken as a sum."""
+    with mpmath.workdps(DPS):
+        for q in (1.001, 1.5):
+            for beta in (1e300, 1.7e308):
+                assert _ulps(t_beta(2.0, q, beta), _t_beta(2.0, q, beta)) <= 4, (q, beta)
 
 
 @pytest.mark.parametrize("p", BATTERY_PS)

@@ -585,6 +585,17 @@ class TestOracle:
         ).mean()
         assert best >= sorted_value * (1 - 1e-12)
 
+    def test_swap_ascent_beats_the_sorted_arrangement(self):
+        # a ternary tree, where the ascent can win; no recorded binary run has
+        p, f, big_f, depth = 2.0, 1.0, 4.0, 2
+        best, info = oracle_sup(p, f, big_f, depth=depth, budget=0, seed=0, arity=3)
+        assert info["best_from"] == "swaps"
+        assert info["improving_swaps"] == 1
+        g = PowerLawFunction.self_similar(f, bellman_value(p, f, big_f).alpha)
+        values = discretize(g, 3**depth).values[None, :]
+        sorted_value = (batch_maximal_leaves(values, 3, depth) ** p).mean()
+        assert sorted_value < best <= info["bound_achieved"] * (1 + 1e-9)
+
     def test_achieved_moments_recorded(self):
         _, info = oracle_sup(2.0, 1.0, 2.0, depth=8, budget=20, seed=1)
         assert info["f_achieved"] == pytest.approx(1.0, rel=1e-12)
